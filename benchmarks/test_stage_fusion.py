@@ -58,7 +58,7 @@ def test_fused_steering_novelty_speedup(benchmark, bench_workbench, report):
     def fused(stack):
         return pipeline.score_with_steering(stack)
 
-    # Warm layer caches, workspace kernels, and allocator pools.
+    # Warm layer caches and allocator pools.
     two_forward(frames[:8])
     fused(frames[:8])
 

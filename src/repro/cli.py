@@ -43,7 +43,7 @@ Commands
     telemetry file into a profile table.
 ``plan``
     Print a pipeline's compiled stage graph (stage order, per-stage
-    detail, dtypes, call/error tallies, workspace buffer stats).
+    detail, dtypes, call/error tallies).
 """
 
 from __future__ import annotations

@@ -429,7 +429,7 @@ class CanaryController:
         # Compile the candidate's scoring plan before it sees any traffic
         # (shadowed or split) — stage-graph construction belongs to the
         # rollout transition, not to the first mirrored request.
-        getattr(bundle.pipeline, "plan", None)
+        bundle.pipeline.plan
         return self._scorer_factory(bundle, self.candidate_version)
 
     def _require_state(self, *allowed: str) -> None:

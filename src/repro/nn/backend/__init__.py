@@ -9,7 +9,8 @@ Two modules:
 
 * :mod:`repro.nn.backend.policy` — ``DTypePolicy`` and the coercion helpers.
 * :mod:`repro.nn.backend.kernels` — stateless forward/backward kernels
-  (im2col convolution, transposed convolution, dense, pooling, activations)
+  (im2col convolution, transposed convolution, the ones-kernel box-sum,
+  dense, pooling, activations)
   that preserve the dtype of their inputs.  The stateful ``Layer`` classes
   in :mod:`repro.nn.layers` are thin wrappers over these functions, which is
   what lets alternative backends (threaded kernels, blocked GEMM) slot in
@@ -19,6 +20,7 @@ Two modules:
 from repro.nn.backend.kernels import (
     avgpool2d_backward,
     avgpool2d_forward,
+    box_sum2d,
     col2im,
     conv2d_backward,
     conv2d_forward,
@@ -81,6 +83,7 @@ __all__ = [
     "result_dtype",
     "avgpool2d_backward",
     "avgpool2d_forward",
+    "box_sum2d",
     "col2im",
     "conv2d_backward",
     "conv2d_forward",

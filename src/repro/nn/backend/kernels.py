@@ -12,10 +12,10 @@ The im2col transformation unrolls every receptive field of a ``(N, C, H,
 W)`` batch into the rows of a matrix so convolution becomes a single matrix
 multiplication — the standard CPU-friendly formulation.  ``col2im`` is its
 adjoint (a scatter-add), which gives both the convolution backward pass and
-the transposed-convolution forward pass.  :func:`conv_transpose2d` is also
-used directly by :mod:`repro.saliency.vbp`: VisualBackProp upscales
-averaged feature maps with a ones-kernel transposed convolution matching
-each convolution layer's geometry.
+the transposed-convolution forward pass.  :func:`box_sum2d` is the same
+scatter specialised to unit weights: :mod:`repro.saliency.vbp` upscales
+averaged feature maps with it, a ones-kernel transposed convolution
+matching each convolution layer's geometry.
 
 Every public kernel is wrapped by :func:`repro.nn.backend.profiler.profiled`
 — a no-op unless a kernel profiler is installed (``repro profile``, the
@@ -144,6 +144,34 @@ def col2im(
     if ph or pw:
         return x_padded[:, :, ph : ph + h, pw : pw + w]
     return x_padded
+
+
+@profiled
+def box_sum2d(
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> np.ndarray:
+    """Transposed convolution of each channel with an all-ones kernel.
+
+    Every input pixel is added into each position of its ``kh x kw``
+    output window: the scatter of :func:`col2im` with unit weights, so no
+    matmul and no ones-kernel.  Offsets accumulate in ``col2im``'s order,
+    so for ``(N, 1, H, W)`` maps the result is bitwise equal to
+    ``conv_transpose2d(x, np.ones((1, 1, kh, kw)), stride, padding)``.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    out_h = conv_transpose_output_size(h, kh, sh, ph)
+    out_w = conv_transpose_output_size(w, kw, sw, pw)
+    out = np.zeros((n, c, out_h + 2 * ph, out_w + 2 * pw), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + sh * h : sh, j : j + sw * w : sw] += x
+    return out[:, :, ph : ph + out_h, pw : pw + out_w]
 
 
 # -- convolution ---------------------------------------------------------

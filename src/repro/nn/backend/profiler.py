@@ -214,6 +214,10 @@ def _flops_conv_transpose2d_backward(grad_output, x, weight, *a, **k) -> float:
     return 4.0 * macs
 
 
+def _flops_box_sum2d(x, kernel, *a, **k) -> float:
+    return float(x.size * kernel[0] * kernel[1])
+
+
 def _flops_dense_forward(x, weight, bias) -> float:
     return 2.0 * x.shape[0] * weight.shape[0] * weight.shape[1]
 
@@ -231,6 +235,7 @@ _FLOPS: Dict[str, Callable[..., float]] = {
     "conv2d_backward": _flops_conv2d_backward,
     "conv_transpose2d": _flops_conv_transpose2d,
     "conv_transpose2d_backward": _flops_conv_transpose2d_backward,
+    "box_sum2d": _flops_box_sum2d,
     "dense_forward": _flops_dense_forward,
     "dense_backward": _flops_dense_backward,
 }

@@ -15,7 +15,7 @@ treats all three systems uniformly.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.exceptions import ShapeError
 from repro.nn.backend.policy import as_tensor
 from repro.nn.model import Sequential
 from repro.novelty.framework import AutoencoderConfig, OneClassAutoencoder, SaliencyNoveltyPipeline
+from repro.pipeline import ReconstructStage, ScoringPlan, SimilarityStage, VerdictStage
 from repro.utils.seeding import RngLike
 
 
@@ -39,16 +40,22 @@ class RichterRoyBaseline:
             image_shape, loss="mse", config=config, rng=rng
         )
         self.image_shape = self.one_class.image_shape
-        self._plan = None
+        self._plan: Optional[ScoringPlan] = None
 
     @property
-    def plan(self):
+    def plan(self) -> ScoringPlan:
         """Compiled scoring plan (``reconstruct → similarity → verdict``
         over raw frames — no saliency stage, by design)."""
         if self._plan is None:
-            from repro.pipeline import compile_plan
-
-            self._plan = compile_plan(self)
+            one_class = self.one_class
+            self._plan = ScoringPlan(
+                [
+                    ReconstructStage(one_class),
+                    SimilarityStage(one_class),
+                    VerdictStage(one_class.detector),
+                ],
+                owner=type(self).__name__,
+            )
         return self._plan
 
     @property

@@ -13,12 +13,13 @@ it plugs into :func:`repro.novelty.evaluate_detector` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.novelty.detector import NoveltyDetector
+from repro.pipeline import AggregateStage, MemberScoresStage, ScoringPlan, VerdictStage
 
 
 @dataclass
@@ -51,16 +52,21 @@ class EnsembleDetector:
         self.members = members
         self.detector = NoveltyDetector(percentile=percentile, higher_is_novel=True)
         self.one_class = _OneClassView(detector=self.detector)
-        self._plan = None
+        self._plan: Optional[ScoringPlan] = None
 
     @property
-    def plan(self):
+    def plan(self) -> ScoringPlan:
         """Compiled scoring plan (``member_scores → aggregate → verdict``)
         — the ensemble runs on the same stage runtime as the pipelines."""
         if self._plan is None:
-            from repro.pipeline import compile_plan
-
-            self._plan = compile_plan(self)
+            self._plan = ScoringPlan(
+                [
+                    MemberScoresStage(self.members),
+                    AggregateStage(),
+                    VerdictStage(self.detector),
+                ],
+                owner=type(self).__name__,
+            )
         return self._plan
 
     @classmethod

@@ -98,8 +98,7 @@ def explain_frame(
     Parameters
     ----------
     pipeline:
-        A fitted :class:`repro.novelty.SaliencyNoveltyPipeline` (or
-        compatible object exposing ``preprocess``, ``one_class``).
+        A fitted :class:`repro.novelty.SaliencyNoveltyPipeline`.
     frame:
         One ``(H, W)`` grayscale frame in [0, 1].
     top_k:
@@ -111,18 +110,12 @@ def explain_frame(
     if frame.ndim != 2:
         raise ShapeError(f"explain_frame expects one (H, W) frame, got {frame.shape}")
 
-    if hasattr(pipeline, "run_plan"):
-        # One plan run caches mask, reconstruction, and score together —
-        # one CNN forward, one saliency cascade, one autoencoder pass —
-        # where the explain path previously recomputed each from scratch.
-        ctx = pipeline.run_plan(frame[None])
-        vbp_image = ctx.masks[0]
-        reconstruction = ctx.recon[0]
-        score = float(ctx.scores[0])
-    else:  # duck-typed pipelines without a compiled plan
-        vbp_image = pipeline.preprocess(frame[None])[0]
-        reconstruction = pipeline.one_class.reconstruct(vbp_image[None])[0]
-        score = float(pipeline.one_class.score(vbp_image[None])[0])
+    # One plan run caches mask, reconstruction, and score together — one
+    # CNN forward, one saliency cascade, one autoencoder pass.
+    ctx = pipeline.run_plan(frame[None])
+    vbp_image = ctx.masks[0]
+    reconstruction = ctx.recon[0]
+    score = float(ctx.scores[0])
     loss = pipeline.one_class._loss
     window = getattr(loss, "window_size", 7)
     window = min(window, min(frame.shape))

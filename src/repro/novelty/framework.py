@@ -29,6 +29,19 @@ from repro.nn.model import Sequential
 from repro.nn.optim import Adam
 from repro.nn.trainer import Trainer, TrainingHistory
 from repro.novelty.detector import NoveltyDetector
+from repro.pipeline import (
+    FUSED_STAGES,
+    PREPROCESS_STAGES,
+    SCORE_STAGES,
+    CnnForwardStage,
+    ReconstructStage,
+    SaliencyCascadeStage,
+    ScoringPlan,
+    SimilarityStage,
+    StageContext,
+    SteeringHeadStage,
+    VerdictStage,
+)
 from repro.saliency.base import SaliencyMethod
 from repro.saliency.gradient import GradientSaliency
 from repro.saliency.lrp import LayerwiseRelevancePropagation
@@ -293,21 +306,29 @@ class SaliencyNoveltyPipeline:
             image_shape, loss=loss, config=config, architecture=architecture, rng=rng
         )
         self.image_shape = self.one_class.image_shape
-        self._plan = None
+        self._plan: Optional[ScoringPlan] = None
 
     @property
-    def plan(self):
-        """The compiled :class:`~repro.pipeline.ScoringPlan` (lazy).
+    def plan(self) -> ScoringPlan:
+        """The compiled six-stage :class:`~repro.pipeline.ScoringPlan` (lazy).
 
         Compiled once per pipeline and reused for every call; the plan's
         stages hold references to the live model/autoencoder objects, so
-        :meth:`set_inference_dtype` needs no recompile (workspace buffers
-        are dtype-keyed).
+        :meth:`set_inference_dtype` needs no recompile.
         """
         if self._plan is None:
-            from repro.pipeline import compile_plan
-
-            self._plan = compile_plan(self)
+            one_class = self.one_class
+            self._plan = ScoringPlan(
+                [
+                    CnnForwardStage(self.saliency_method.model),
+                    SteeringHeadStage(),
+                    SaliencyCascadeStage(self.saliency_method),
+                    ReconstructStage(one_class),
+                    SimilarityStage(one_class),
+                    VerdictStage(one_class.detector),
+                ],
+                owner=type(self).__name__,
+            )
         return self._plan
 
     @property
@@ -321,7 +342,7 @@ class SaliencyNoveltyPipeline:
         When true, the fused ``score_with_steering`` path can serve a
         steering policy and the novelty monitor from one CNN forward.
         """
-        return getattr(self.saliency_method, "model", None) is model
+        return self.saliency_method.model is model
 
     @property
     def dtype(self) -> np.dtype:
@@ -340,9 +361,7 @@ class SaliencyNoveltyPipeline:
         gradcheck guard rather than silently training at low precision.
         """
         resolved = resolve_dtype(dtype)
-        model = getattr(self.saliency_method, "model", None)
-        if model is not None and hasattr(model, "set_policy"):
-            model.set_policy(resolved)
+        self.saliency_method.model.set_policy(resolved)
         self.one_class.set_inference_dtype(resolved)
         return self
 
@@ -366,7 +385,7 @@ class SaliencyNoveltyPipeline:
             raise ShapeError(f"expected (N, {h}, {w}) frames, got {frames.shape}")
         return frames
 
-    def run_plan(self, frames: np.ndarray, stages=None):
+    def run_plan(self, frames: np.ndarray, stages=None) -> StageContext:
         """Execute plan stages over coerced frames; returns the
         :class:`~repro.pipeline.StageContext` with every intermediate.
 
@@ -376,16 +395,12 @@ class SaliencyNoveltyPipeline:
         the returned context (what :func:`repro.novelty.explain_frame`
         consumes).
         """
-        from repro.pipeline import SCORE_STAGES
-
         if stages is None:
             stages = SCORE_STAGES + (("verdict",) if self.is_fitted else ())
         return self.plan.run(self._coerce_frames(frames), stages=stages)
 
     def preprocess(self, frames: np.ndarray) -> np.ndarray:
         """VBP masks ("VBP images") for a batch of frames."""
-        from repro.pipeline import PREPROCESS_STAGES
-
         return self.run_plan(frames, stages=PREPROCESS_STAGES).masks
 
     def fit(self, frames: np.ndarray) -> "SaliencyNoveltyPipeline":
@@ -395,8 +410,6 @@ class SaliencyNoveltyPipeline:
 
     def score(self, frames: np.ndarray) -> np.ndarray:
         """Novelty scores (reconstruction loss of the VBP image)."""
-        from repro.pipeline import SCORE_STAGES
-
         with get_telemetry().span(
             "pipeline.score",
             frames=int(np.asarray(frames).shape[0]),
@@ -412,13 +425,12 @@ class SaliencyNoveltyPipeline:
         cascade, one autoencoder pass — for the entire stack, under a
         single ``pipeline.score_batch`` telemetry span (containing the
         per-stage spans) with no per-frame instrumentation.  This is the
-        substrate the serving micro-batcher and
-        :meth:`StreamMonitor.observe_batch
-        <repro.novelty.StreamMonitor.observe_batch>` build on — batched
-        numpy matmuls are where the throughput is.
+        substrate :meth:`StreamMonitor.observe_batch
+        <repro.novelty.StreamMonitor.observe_batch>` builds on — batched
+        numpy matmuls are where the throughput is.  Serving runs the same
+        plan one stage further, through ``verdict``
+        (:class:`~repro.serving.PipelineScorer`).
         """
-        from repro.pipeline import SCORE_STAGES
-
         frames = as_tensor(frames, self.dtype)
         if frames.ndim != 3:
             raise ShapeError(
@@ -443,8 +455,6 @@ class SaliencyNoveltyPipeline:
         :meth:`score_batch`; angles to
         :meth:`~repro.models.PilotNet.predict_angles`.
         """
-        from repro.pipeline import FUSED_STAGES
-
         with get_telemetry().span(
             "pipeline.score_with_steering",
             frames=int(np.asarray(frames).shape[0]),
@@ -456,14 +466,10 @@ class SaliencyNoveltyPipeline:
     def similarity(self, frames: np.ndarray) -> np.ndarray:
         """Similarity scores in the paper's convention (see
         :meth:`OneClassAutoencoder.similarity`)."""
-        from repro.pipeline import SCORE_STAGES
-
         return self.run_plan(frames, stages=SCORE_STAGES).similarity
 
     def predict_novel(self, frames: np.ndarray) -> np.ndarray:
         """Boolean novelty decisions for a batch of frames."""
-        from repro.pipeline import SCORE_STAGES
-
         if not self.one_class.detector.is_fitted:
             raise NotFittedError("OneClassAutoencoder used before fit()")
         return self.run_plan(frames, stages=SCORE_STAGES + ("verdict",)).is_novel
@@ -478,8 +484,6 @@ class SaliencyNoveltyPipeline:
         forward and saliency cascade entirely — the explain/demo path
         previously recomputed both on frames it had just scored.
         """
-        from repro.pipeline import PREPROCESS_STAGES
-
         if masks is None:
             ctx = self.run_plan(
                 frames, stages=PREPROCESS_STAGES + ("reconstruct",)

@@ -25,6 +25,7 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.nn.backend.policy import as_tensor
 from repro.novelty.detector import NoveltyDetector
 from repro.novelty.ensemble import _OneClassView
+from repro.pipeline import MemberScoresStage, ScoringPlan, StandardizeStage, VerdictStage
 
 
 class ScoreFusionDetector:
@@ -67,17 +68,22 @@ class ScoreFusionDetector:
         self.one_class = _OneClassView(detector=self.detector)
         self._means: Optional[np.ndarray] = None
         self._stds: Optional[np.ndarray] = None
-        self._plan = None
+        self._plan: Optional[ScoringPlan] = None
 
     @property
-    def plan(self):
+    def plan(self) -> ScoringPlan:
         """Compiled scoring plan (``member_scores → standardize →
         verdict``) — fusion runs on the same stage runtime as the
         pipelines and ensembles."""
         if self._plan is None:
-            from repro.pipeline import compile_plan
-
-            self._plan = compile_plan(self)
+            self._plan = ScoringPlan(
+                [
+                    MemberScoresStage(self.members),
+                    StandardizeStage(self),
+                    VerdictStage(self.detector),
+                ],
+                owner=type(self).__name__,
+            )
         return self._plan
 
     @property

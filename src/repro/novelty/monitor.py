@@ -456,19 +456,17 @@ class StreamMonitor:
     ) -> Tuple[FrameVerdict, Optional[float]]:
         """Score one frame and predict its steering angle in one pass.
 
-        When the detector exposes the fused ``score_with_steering`` entry
-        point (its compiled plan shares one CNN forward between the
-        steering head and the saliency cascade), the closed-loop simulator
-        gets both the novelty verdict and the steering command for the
-        price of a single forward.  Detectors without the fused path fall
-        back to :meth:`observe` with ``None`` for the angle, as do frames
-        that take any degraded path (the caller must then steer via its
-        own policy — commanding an angle computed from a faulty frame
-        would defeat the sanitizer).
+        The detector's fused ``score_with_steering`` entry point (its
+        compiled plan shares one CNN forward between the steering head and
+        the saliency cascade) gives the closed-loop simulator both the
+        novelty verdict and the steering command for the price of a single
+        forward; the simulator only calls this when the detector and the
+        policy share a model.  Frames that take any degraded path return
+        ``None`` for the angle (the caller must then steer via its own
+        policy — commanding an angle computed from a faulty frame would
+        defeat the sanitizer).
         """
-        fused = getattr(self.detector, "score_with_steering", None)
-        if fused is None:
-            return self.observe(frame), None
+        fused = self.detector.score_with_steering
         arr = np.asarray(frame)
         telem = get_telemetry()
         state = self.sanitizer.check(arr)
@@ -477,7 +475,7 @@ class StreamMonitor:
         decision = False
         angle: Optional[float] = None
         if state is None:
-            stack = as_tensor(arr[None], getattr(self.detector, "dtype", None))
+            stack = as_tensor(arr[None], self.detector.dtype)
             try:
                 if telem.enabled:
                     with telem.span("monitor.frame", index=self._index):

@@ -3,9 +3,9 @@
 Decomposes the paper's staged framework (CNN forward → saliency mask →
 autoencoder reconstruction → similarity → verdict) into explicit
 :class:`Stage` objects sequenced by a compiled :class:`ScoringPlan` —
-single shared CNN forward for steering *and* novelty, per-stage telemetry
-spans and fault guards, and workspace buffers reused across calls.  See
-``docs/architecture.md`` ("Stage runtime") for the execution semantics.
+single shared CNN forward for steering *and* novelty, and per-stage
+telemetry spans and fault guards.  See ``docs/architecture.md`` ("Stage
+runtime") for the execution semantics.
 """
 
 from repro.pipeline.runtime import (
@@ -13,8 +13,6 @@ from repro.pipeline.runtime import (
     PREPROCESS_STAGES,
     SCORE_STAGES,
     ScoringPlan,
-    Workspace,
-    compile_plan,
     compute_saliency,
 )
 from repro.pipeline.stages import (
@@ -36,8 +34,6 @@ __all__ = [
     "PREPROCESS_STAGES",
     "SCORE_STAGES",
     "ScoringPlan",
-    "Workspace",
-    "compile_plan",
     "compute_saliency",
     "Stage",
     "StageContext",

@@ -5,8 +5,8 @@ mask → one-class autoencoder → SSIM → percentile threshold — and this
 module makes each arrow a first-class :class:`Stage`: a named unit with a
 ``run(batch, ctx)`` method that reads its inputs from (and writes its
 outputs to) a shared :class:`StageContext`.  The runtime
-(:mod:`repro.pipeline.runtime`) sequences stages, wraps each in a
-telemetry span and a fault guard, and owns the reusable workspace buffers.
+(:mod:`repro.pipeline.runtime`) sequences stages and wraps each in a
+telemetry span and a fault guard.
 
 The canonical saliency-pipeline decomposition:
 
@@ -63,15 +63,11 @@ class StageContext:
     stages (and callers — :func:`repro.novelty.explain_frame` reads masks,
     reconstruction, and scores out of one run) never recompute it.
     Arrays handed out of a context escape to callers and are therefore
-    freshly allocated per run — only internal workspace buffers
-    (:class:`~repro.pipeline.runtime.Workspace`) are reused across calls.
+    freshly allocated per run; no buffer is reused across calls.
     """
 
     #: The coerced ``(N, H, W)`` input frames.
     frames: np.ndarray
-    #: Trace context for the per-stage spans (``None`` inherits the
-    #: ambient thread-local context, e.g. a serving batch's trace).
-    trace: Any = None
     #: Prediction-network output for the batch, ``(N, 1)``.
     model_output: Optional[np.ndarray] = None
     #: Every layer's activation from the single CNN forward.
@@ -133,25 +129,16 @@ class SteeringHeadStage:
 
     name = "steering_head"
 
-    def __init__(self, model) -> None:
-        self.model = model
-
     def run(self, batch: np.ndarray, ctx: StageContext) -> None:
         output = _require(ctx.model_output, "cnn_forward", self.name)
-        extract = getattr(self.model, "angles_from_output", None)
-        ctx.angles = extract(output) if extract is not None else output[:, 0]
+        ctx.angles = output[:, 0]
 
     def describe(self) -> str:
         return "angles from cached cnn_forward output"
 
 
 class SaliencyCascadeStage:
-    """Saliency masks from the cached activations of ``cnn_forward``.
-
-    Falls back to the method's own forward pass for saliency methods that
-    cannot consume a precomputed forward (none in this library do, but the
-    stage stays correct for third-party methods).
-    """
+    """Saliency masks from the cached activations of ``cnn_forward``."""
 
     name = "saliency_cascade"
 
@@ -159,13 +146,10 @@ class SaliencyCascadeStage:
         self.method = method
 
     def run(self, batch: np.ndarray, ctx: StageContext) -> None:
-        from_forward = getattr(self.method, "saliency_from_forward", None)
-        if from_forward is not None and ctx.activations is not None:
-            ctx.masks = from_forward(
-                batch[:, None, :, :], ctx.model_output, ctx.activations
-            )
-        else:
-            ctx.masks = self.method.saliency(batch)
+        activations = _require(ctx.activations, "cnn_forward", self.name)
+        ctx.masks = self.method.saliency_from_forward(
+            batch[:, None, :, :], ctx.model_output, activations
+        )
 
     def describe(self) -> str:
         return (

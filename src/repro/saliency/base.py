@@ -5,29 +5,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.nn.backend.policy import as_tensor, resolve_dtype
+from repro.nn.backend.policy import as_tensor
+from repro.nn.model import Sequential
 
 
 class SaliencyMethod:
     """Maps input frames to per-pixel saliency masks in [0, 1].
 
-    Subclasses implement :meth:`_compute` on ``(N, 1, H, W)`` batches;
-    the public :meth:`saliency` handles shape coercion and normalization.
-    Frames are coerced to :attr:`dtype` — float64 unless the subclass ties
-    itself to a model running a different policy.
+    Every method explains a trained prediction network held in ``model``.
+    Subclasses implement :meth:`_compute` on ``(N, 1, H, W)`` batches and
+    :meth:`_compute_from_forward` over a forward pass the stage runtime
+    already ran; the public entry points handle shape coercion and
+    normalization.  Frames are coerced to the model's policy dtype.
     """
+
+    model: Sequential
 
     @property
     def dtype(self) -> np.dtype:
-        """The dtype this method computes masks in.
-
-        Methods wrapping a model follow its policy; standalone methods use
-        the float64 default.
-        """
-        model = getattr(self, "model", None)
-        if model is not None and hasattr(model, "dtype"):
-            return model.dtype
-        return resolve_dtype(None)
+        """The dtype this method computes masks in (the model's policy)."""
+        return self.model.dtype
 
     def _compute(self, frames: np.ndarray) -> np.ndarray:
         """Raw (unnormalized) masks of shape ``(N, H, W)``."""
@@ -40,11 +37,8 @@ class SaliencyMethod:
 
         ``output``/``activations`` are the return of
         ``model.forward_with_activations(frames, training=False)``.
-        Subclasses override this to skip their own forward; the default
-        recomputes via :meth:`_compute` so any method stays usable from
-        the stage runtime.
         """
-        return self._compute(frames)
+        raise NotImplementedError
 
     def saliency_from_forward(
         self, frames: np.ndarray, output: np.ndarray, activations
@@ -52,11 +46,11 @@ class SaliencyMethod:
         """Masks for ``(N, 1, H, W)`` frames reusing a cached forward pass.
 
         The stage runtime's entry point: the plan's ``cnn_forward`` stage
-        has already run the network on exactly these frames, so methods
-        that can consume the cached ``output``/``activations`` (all three
-        in this library) skip the duplicate forward.  Shape validation and
-        per-image normalization match :meth:`saliency` exactly, so masks
-        are bit-identical to the standalone path.
+        has already run the network on exactly these frames, so the method
+        consumes the cached ``output``/``activations`` instead of running a
+        duplicate forward.  Shape validation and per-image normalization
+        match :meth:`saliency` exactly, so masks are bit-identical to the
+        standalone path.
         """
         frames = as_tensor(frames, self.dtype)
         if frames.ndim != 4 or frames.shape[1] != 1:

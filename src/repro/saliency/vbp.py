@@ -21,6 +21,12 @@ maps :math:`a_1, \\dots, a_L` (shallow to deep):
 Because the averaged maps are post-ReLU they are non-negative, so the
 pointwise products act as soft intersections: a pixel stays salient only if
 *every* layer's receptive fields covering it were active.
+
+A ones-kernel deconvolution adds each pixel into every position of its
+kernel window, so the cascade computes it as a box-sum
+(:func:`~repro.nn.backend.kernels.box_sum2d`) rather than a general
+transposed convolution.  The box-sum accumulates the kernel offsets in the
+same order, so masks are bitwise equal to the ``conv_transpose2d`` form.
 """
 
 from __future__ import annotations
@@ -31,9 +37,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.nn.backend.kernels import box_sum2d
 from repro.nn.backend.policy import as_tensor
 from repro.nn.layers import Conv2d, ReLU
-from repro.nn.layers.conv import conv_transpose2d
 from repro.nn.model import Sequential
 from repro.saliency.base import SaliencyMethod
 from repro.telemetry import get_telemetry
@@ -100,59 +106,25 @@ def _fit_to(mask: np.ndarray, target_hw: Tuple[int, int]) -> np.ndarray:
 class VisualBackProp(SaliencyMethod):
     """Value-based saliency via averaged feature maps and deconvolutions.
 
+    Each intermediate mask is scaled to a unit maximum per image before the
+    next multiplication, which keeps magnitudes from vanishing through deep
+    stacks ("scaled ... deconvolutions" in the paper's phrasing).
+
     Parameters
     ----------
     model:
         A trained :class:`repro.nn.Sequential` (e.g.
         :class:`repro.models.PilotNet`) containing convolution stages.
-    scale_intermediate:
-        Normalize each intermediate mask to a unit maximum per image before
-        the next multiplication.  Keeps magnitudes from vanishing through
-        deep stacks ("scaled ... deconvolutions" in the paper's phrasing);
-        the final mask is min-max normalized either way.
     """
 
-    def __init__(self, model: Sequential, scale_intermediate: bool = True) -> None:
+    def __init__(self, model: Sequential) -> None:
         self.model = model
-        self.scale_intermediate = bool(scale_intermediate)
         self._stages = find_conv_stages(model)
-        # Ones-kernel cache for the deconvolution cascade, keyed by
-        # (kernel geometry, dtype) so a precision switch just adds new
-        # entries.  A compiled ScoringPlan adopts this cache into its
-        # workspace (adopt_kernel_cache) so the buffers swap atomically
-        # with the plan on hot-swap.
-        self._kernel_cache = {}
-
-    @property
-    def dtype(self) -> np.dtype:
-        """VBP computes in the model's policy dtype end to end."""
-        return self.model.dtype
 
     @property
     def num_stages(self) -> int:
         """Number of convolution stages VBP combines."""
         return len(self._stages)
-
-    def adopt_kernel_cache(self, workspace) -> None:
-        """Hand ones-kernel ownership to a plan's :class:`Workspace`.
-
-        After adoption the cascade draws its kernels from
-        ``workspace.kernels`` (sharing hit/miss accounting), so the
-        buffers live and die with the compiled plan.
-        """
-        workspace.kernels.update(self._kernel_cache)
-        self._workspace = workspace
-
-    def _ones_kernel(self, kh: int, kw: int) -> np.ndarray:
-        workspace = getattr(self, "_workspace", None)
-        if workspace is not None:
-            return workspace.ones_kernel((1, 1, kh, kw), self.dtype)
-        key = ((1, 1, kh, kw), np.dtype(self.dtype).str)
-        kernel = self._kernel_cache.get(key)
-        if kernel is None:
-            kernel = np.ones((1, 1, kh, kw), dtype=self.dtype)
-            self._kernel_cache[key] = kernel
-        return kernel
 
     def _averaged_maps_from(self, activations) -> List[np.ndarray]:
         """Channel-averaged per-stage maps from cached activations."""
@@ -205,13 +177,10 @@ class VisualBackProp(SaliencyMethod):
         # Walk deep -> shallow, deconvolving through each stage's geometry.
         for level in range(len(self._stages) - 1, -1, -1):
             current = maps[level] if mask is None else maps[level] * mask
-            if self.scale_intermediate:
-                peak = current.max(axis=(1, 2, 3), keepdims=True)
-                current = current / np.where(peak > 0, peak, 1.0)
+            peak = current.max(axis=(1, 2, 3), keepdims=True)
+            current = current / np.where(peak > 0, peak, 1.0)
             conv = self._stages[level].conv
-            kh, kw = conv.kernel_size
-            ones = self._ones_kernel(kh, kw)
-            upscaled = conv_transpose2d(current, ones, conv.stride, conv.padding)
+            upscaled = box_sum2d(current, conv.kernel_size, conv.stride, conv.padding)
             if level > 0:
                 target = maps[level - 1].shape[2:]
             else:

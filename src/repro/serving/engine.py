@@ -180,9 +180,8 @@ class PipelineScorer:
         self.image_shape = pipeline.image_shape
         self.model_version = model_version
         # Compile the scoring plan eagerly so the first request doesn't pay
-        # stage-graph construction; plan-less (duck-typed) pipelines serve
-        # through their plain score_batch path.
-        self.plan = getattr(pipeline, "plan", None)
+        # stage-graph construction.
+        pipeline.plan
         # One batched pass at a time: the numpy substrate is single-threaded
         # anyway, and serializing keeps layer caches coherent.  reload()
         # takes the same lock, so a swap waits for the in-flight batch.
@@ -197,23 +196,14 @@ class PipelineScorer:
     def score_batch(self, frames: np.ndarray) -> BatchVerdicts:
         """Vectorized verdicts for an ``(N, H, W)`` stack."""
         with self._lock:
-            if self.plan is not None and hasattr(self.pipeline, "run_plan"):
-                # One compiled-plan invocation yields scores, decisions and
-                # margins together — the verdict stage reads the cached
-                # scores — and every stage emits its own telemetry span.
-                ctx = self.pipeline.run_plan(frames)
-                return BatchVerdicts(
-                    scores=ctx.scores,
-                    is_novel=ctx.is_novel,
-                    margins=ctx.margins,
-                    model_version=self.model_version,
-                )
-            scores = self.pipeline.score_batch(frames)
-            detector = self.pipeline.one_class.detector
+            # One compiled-plan invocation yields scores, decisions and
+            # margins together — the verdict stage reads the cached scores
+            # — and every stage emits its own telemetry span.
+            ctx = self.pipeline.run_plan(frames)
             return BatchVerdicts(
-                scores=scores,
-                is_novel=detector.predict(scores),
-                margins=detector.novelty_margin(scores),
+                scores=ctx.scores,
+                is_novel=ctx.is_novel,
+                margins=ctx.margins,
                 model_version=self.model_version,
             )
 
@@ -243,11 +233,10 @@ class PipelineScorer:
             )
         # Compile the candidate's plan BEFORE taking the lock: stage-graph
         # construction happens off the serving path, and the swap below is
-        # an atomic pipeline+plan+version exchange under the drained lock.
-        plan = getattr(pipeline, "plan", None)
+        # an atomic pipeline+version exchange under the drained lock.
+        pipeline.plan
         with self._lock:
             self.pipeline = pipeline
-            self.plan = plan
             self.model_version = model_version
 
     def close(self) -> None:

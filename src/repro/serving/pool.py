@@ -58,6 +58,7 @@ def _worker_main(
     file ends up holding the whole cross-process request tree.
     """
     from repro.serving.artifacts import load_bundle
+    from repro.serving.engine import PipelineScorer
     from repro.telemetry import MemorySink, TraceContext, enable_telemetry
 
     if profile_kernels:
@@ -68,10 +69,9 @@ def _worker_main(
     pipeline = bundle.pipeline
     if dtype is not None:
         pipeline.set_inference_dtype(dtype)
-    # Compile the scoring plan before signalling ready: stage-graph
-    # construction happens once at worker startup, never on a request.
-    getattr(pipeline, "plan", None)
-    detector = pipeline.one_class.detector
+    # The scorer compiles the plan before the worker answers its first
+    # message: stage-graph construction happens once at worker startup.
+    scorer = PipelineScorer(pipeline)
     telem = None
     sink = None
     while True:
@@ -101,19 +101,19 @@ def _worker_main(
                     with telem.span(
                         "worker.score_batch", trace=context, frames=len(frames)
                     ):
-                        scores = pipeline.score_batch(frames)
+                        verdicts = scorer.score_batch(frames)
                     spans = [
                         dict(r) for r in sink.records if r.get("type") == "span"
                     ]
                 else:
-                    scores = pipeline.score_batch(frames)
+                    verdicts = scorer.score_batch(frames)
                 conn.send(
                     (
                         "ok",
                         request_id,
-                        scores,
-                        detector.predict(scores),
-                        detector.novelty_margin(scores),
+                        verdicts.scores,
+                        verdicts.is_novel,
+                        verdicts.margins,
                         spans,
                     )
                 )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.nn.backend import (
@@ -121,6 +123,33 @@ class TestKernelDtypePreservation:
         out, mask = kernels.leaky_relu_forward(x, 0.1)
         assert out.dtype == dtype
         assert kernels.leaky_relu_backward(np.ones_like(out), mask, 0.1).dtype == dtype
+
+
+class TestBoxSum2d:
+    """``box_sum2d`` is the ones-kernel transposed convolution, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        batch=st.integers(1, 3),
+        dtype=st.sampled_from([FLOAT64, FLOAT32]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_conv_transpose_with_ones(
+        self, kernel, stride, padding, size, batch, dtype, seed
+    ):
+        for axis in (0, 1):
+            out = (size[axis] - 1) * stride[axis] + kernel[axis] - 2 * padding[axis]
+            assume(out > 0)
+        x = np.random.default_rng(seed).random((batch, 1) + size).astype(dtype)
+        ones = np.ones((1, 1) + kernel, dtype=dtype)
+        expected = kernels.conv_transpose2d(x, ones, stride, padding)
+        actual = kernels.box_sum2d(x, kernel, stride, padding)
+        assert actual.dtype == dtype
+        np.testing.assert_array_equal(actual, expected)
 
 
 class TestConvTransposeCoercion:

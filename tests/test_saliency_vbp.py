@@ -6,7 +6,10 @@ import pytest
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.models import PilotNet, PilotNetConfig
 from repro.nn import Conv2d, Dense, Flatten, ReLU, Sequential
+from repro.nn.backend import FLOAT32, FLOAT64
+from repro.nn.layers.conv import conv_transpose2d
 from repro.saliency import VisualBackProp
+from repro.saliency.base import _normalize_per_image
 from repro.saliency.vbp import _fit_to, find_conv_stages
 
 
@@ -117,10 +120,36 @@ class TestVisualBackProp:
         masks = VisualBackProp(net).saliency(rng.random((1, 60, 160)))
         assert masks.shape == (1, 60, 160)
 
-    def test_scale_intermediate_toggle(self, tiny_cnn, rng):
-        x = rng.random((2, 13, 21))
-        a = VisualBackProp(tiny_cnn, scale_intermediate=True).saliency(x)
-        b = VisualBackProp(tiny_cnn, scale_intermediate=False).saliency(x)
-        # Both are valid normalized masks; they need not be identical.
-        assert a.shape == b.shape
-        assert a.max() <= 1.0 and b.max() <= 1.0
+
+def _reference_masks(model, frames):
+    """VBP masks with every upscaling step run as a transposed convolution
+    with a ``(1, 1, kh, kw)`` all-ones kernel — the textbook form of the
+    cascade that the library computes as a box-sum."""
+    stages = find_conv_stages(model)
+    _, activations = model.forward_with_activations(frames[:, None], training=False)
+    maps = [activations[s.feature_index].mean(axis=1, keepdims=True) for s in stages]
+    mask = None
+    for level in range(len(stages) - 1, -1, -1):
+        current = maps[level] if mask is None else maps[level] * mask
+        peak = current.max(axis=(1, 2, 3), keepdims=True)
+        current = current / np.where(peak > 0, peak, 1.0)
+        conv = stages[level].conv
+        ones = np.ones((1, 1) + conv.kernel_size, dtype=current.dtype)
+        upscaled = conv_transpose2d(current, ones, conv.stride, conv.padding)
+        target = maps[level - 1].shape[2:] if level > 0 else frames.shape[1:]
+        mask = _fit_to(upscaled, target)
+    return _normalize_per_image(mask[:, 0])
+
+
+class TestBoxSumCascade:
+    """The box-sum cascade is bitwise equal to the ones-kernel deconvolution."""
+
+    @pytest.mark.parametrize("shape", [(60, 160), (24, 64)])
+    @pytest.mark.parametrize("dtype", [FLOAT64, FLOAT32])
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    def test_masks_equal_ones_kernel_reference(self, shape, dtype, batch):
+        net = PilotNet(PilotNetConfig.for_image(shape), rng=0).set_policy(dtype)
+        frames = np.random.default_rng(batch).random((batch,) + shape).astype(dtype)
+        masks = VisualBackProp(net).saliency(frames)
+        assert masks.dtype == dtype
+        np.testing.assert_array_equal(masks, _reference_masks(net, frames))

@@ -5,7 +5,8 @@ import pytest
 
 from repro.config import CI
 from repro.exceptions import ArtifactError, ConfigurationError, ServingError
-from repro.serving import WorkerPool
+from repro.nn.backend import FLOAT32
+from repro.serving import PipelineScorer, WorkerPool, load_bundle
 
 
 @pytest.fixture(scope="module")
@@ -15,17 +16,31 @@ def pool(bundle_dir):
         yield pool
 
 
-class TestScoring:
-    def test_matches_in_process_pipeline(self, pool, fitted_pipeline, dsu_test):
-        frames = dsu_test.frames[:6]
-        verdicts = pool.score_batch(frames)
-        np.testing.assert_allclose(
-            verdicts.scores, fitted_pipeline.score_batch(frames)
-        )
-        detector = fitted_pipeline.one_class.detector
+def _assert_same_verdicts(pool_verdicts, bundle_dir, frames, dtype=None):
+    """Pool verdicts equal in-process ``PipelineScorer`` verdicts, bitwise."""
+    pipeline = load_bundle(bundle_dir).pipeline
+    if dtype is not None:
+        pipeline.set_inference_dtype(dtype)
+    expected = PipelineScorer(pipeline).score_batch(frames)
+    for field in ("scores", "is_novel", "margins"):
         np.testing.assert_array_equal(
-            verdicts.is_novel, detector.predict(verdicts.scores)
+            getattr(pool_verdicts, field), getattr(expected, field), err_msg=field
         )
+
+
+class TestScoring:
+    def test_matches_in_process_pipeline(self, pool, bundle_dir, dsu_test):
+        frames = dsu_test.frames[:6]
+        _assert_same_verdicts(pool.score_batch(frames), bundle_dir, frames)
+
+    def test_float32_pool_matches_in_process_pipeline(self, bundle_dir, dsu_test):
+        frames = dsu_test.frames[:6]
+        with WorkerPool(
+            bundle_dir, workers=1, request_timeout_s=120.0, dtype="float32"
+        ) as pool32:
+            verdicts = pool32.score_batch(frames)
+        assert verdicts.scores.dtype == FLOAT32
+        _assert_same_verdicts(verdicts, bundle_dir, frames, dtype="float32")
 
     def test_image_shape_from_manifest(self, pool):
         assert pool.image_shape == CI.image_shape
