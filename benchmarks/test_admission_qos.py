@@ -40,6 +40,7 @@ from repro.serving import (
     EngineConfig,
     QosPolicy,
     RateLimit,
+    Scorer,
     ServingEngine,
     run_mixed_load,
 )
@@ -74,13 +75,14 @@ GOODPUT_GATE = 0.95
 P99_GATE = 1.5
 
 
-class _SleepScorer:
+class _SleepScorer(Scorer):
     """Deterministic GPU-like backend: every micro-batch costs
     ``BATCH_SERVICE_S`` of service time regardless of how many frames it
     carries, scored concurrently by ``REPLICAS`` dispatch threads."""
 
     replicas = REPLICAS
     image_shape = FRAME_SHAPE
+    dtype = np.dtype("float64")
 
     def score_batch(self, frames):
         n = len(frames)

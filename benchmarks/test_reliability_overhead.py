@@ -1,13 +1,13 @@
 """Micro-benchmark: reliability guards must be ~free on the healthy path.
 
-The circuit breaker and retry executor wrap every scored micro-batch when
-configured (``EngineConfig.retry`` / ``EngineConfig.breaker``).  Their
-whole value is paid on the *failure* path; on the healthy path — a backend
-that never raises — the guard must cost almost nothing, or nobody enables
-it in production.  This compares ``ServingEngine._score_guarded`` with
-breaker + retry configured against the bare ``scorer.score_batch`` call
-(the exact code path an unconfigured engine runs) and gates the overhead
-at 5%, same as the telemetry null-backend gate.
+Every scored micro-batch runs through the engine's guard: the retry
+executor (a single attempt unless ``EngineConfig.retry`` is set), the
+finite-score check, and the circuit breaker when ``EngineConfig.breaker``
+is set.  Their whole value is paid on the *failure* path; on the healthy
+path — a backend that never raises — the guard must cost almost nothing.
+This compares ``ServingEngine._score_guarded`` with breaker + retry
+configured against the bare ``scorer.score_batch`` call it wraps, and
+gates the overhead at 5%, same as the telemetry null-backend gate.
 """
 
 import numpy as np

@@ -26,14 +26,14 @@ enough canary traffic hot-swaps the engine fully onto the candidate and
 promotes it in the :class:`~repro.deploy.ModelRegistry`.
 
 Traffic splitting is scorer-level: :class:`CanarySplitScorer` routes a
-seeded fraction of micro-batches to the candidate and stamps each batch's
-verdicts with the model that produced them, so every ``Scored`` outcome
-names its model even mid-rollout.  A candidate batch that raises or
-returns non-finite scores surfaces as :class:`~repro.exceptions.RolloutError`
-— the engine's retry/breaker machinery then treats the sick canary
-exactly like any failing backend (requests retry, usually landing on the
-primary), while the split's error ledger feeds the gate that will roll
-the canary back.
+seeded fraction of micro-batches to the candidate and returns the routed
+scorer's verdicts, which carry the version of the model that produced
+them, so every ``Scored`` outcome names its model even mid-rollout.  A
+candidate batch that raises or returns non-finite scores surfaces as
+:class:`~repro.exceptions.RolloutError` — the engine's retry/breaker
+machinery then treats the sick canary exactly like any failing backend
+(requests retry, usually landing on the primary), while the split's
+error ledger feeds the gate that will roll the canary back.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, RolloutError, StateRestoreError
 from repro.serving.engine import PipelineScorer, ServingEngine
-from repro.serving.results import BatchVerdicts
+from repro.serving.results import BatchVerdicts, Scorer
 from repro.telemetry import get_telemetry
 
 from repro.deploy.registry import ModelRegistry
@@ -62,21 +62,23 @@ ROLLED_BACK = "rolled_back"
 ROLLOUT_STATES = (IDLE, SHADOW, CANARY, PROMOTED, ROLLED_BACK)
 
 
-class CanarySplitScorer:
+class CanarySplitScorer(Scorer):
     """Routes a seeded fraction of micro-batches to a candidate scorer.
 
     Whole batches route to one model (splitting inside a batch would serve
     one VBP pass from two different networks); the fraction therefore
-    holds in expectation over batches.  Exposes the primary's
-    ``image_shape`` / ``dtype`` / ``replicas`` so it drops into a running
+    holds in expectation over batches.  Each batch's verdicts are the
+    routed scorer's own, so they carry that model's version.  Exposes the
+    primary's ``image_shape`` / ``dtype`` / ``replicas`` /
+    ``model_version`` so it drops into a running
     :class:`~repro.serving.ServingEngine` via
     :meth:`~repro.serving.ServingEngine.set_scorer`.
     """
 
     def __init__(
         self,
-        primary: Any,
-        candidate: Any,
+        primary: Scorer,
+        candidate: Scorer,
         fraction: float = 0.25,
         seed: int = 0,
     ) -> None:
@@ -95,24 +97,22 @@ class CanarySplitScorer:
             "candidate_errors": 0,
         }
 
-    # The engine discovers these on its scorer; forward the primary's.
     @property
     def replicas(self) -> int:
-        return int(getattr(self.primary, "replicas", 1))
+        return self.primary.replicas
 
     @property
     def image_shape(self):
-        return getattr(self.primary, "image_shape", None)
+        return self.primary.image_shape
 
     @property
     def dtype(self):
-        return getattr(self.primary, "dtype", None)
+        return self.primary.dtype
 
     @property
     def model_version(self):
-        """Ambient fallback version (the primary's): per-batch verdicts
-        carry the routed model's version explicitly."""
-        return getattr(self.primary, "model_version", None)
+        """The primary's version, the model most traffic still reaches."""
+        return self.primary.model_version
 
     def score_batch(self, frames: np.ndarray) -> BatchVerdicts:
         """Score on the routed model; candidate sickness raises loudly."""
@@ -136,13 +136,7 @@ class CanarySplitScorer:
                     self._counts["candidate_errors"] += 1
                 telem.counter("deploy.canary_errors").inc()
             raise
-        return BatchVerdicts(
-            scores=verdicts.scores,
-            is_novel=verdicts.is_novel,
-            margins=verdicts.margins,
-            model_version=getattr(scorer, "model_version", None)
-            or verdicts.model_version,
-        )
+        return verdicts
 
     def stats(self) -> Dict[str, Any]:
         """Routing counts plus the candidate's observed error rate."""
@@ -156,10 +150,8 @@ class CanarySplitScorer:
 
     def close(self) -> None:
         """Close both sides (the engine-shutdown-while-split path)."""
-        for scorer in (self.primary, self.candidate):
-            close = getattr(scorer, "close", None)
-            if close is not None:
-                close()
+        self.primary.close()
+        self.candidate.close()
 
 
 GateCheck = Callable[[], Optional[str]]
@@ -359,7 +351,7 @@ class CanaryController:
         candidate_version: str,
         gates: Optional[RolloutGates] = None,
         config: Optional[CanaryConfig] = None,
-        scorer_factory: Optional[Callable[[Any, str], Any]] = None,
+        scorer_factory: Optional[Callable[[Any, str], Scorer]] = None,
     ) -> None:
         self.engine = engine
         self.registry = registry
@@ -374,7 +366,7 @@ class CanaryController:
         self.state = IDLE
         self.shadow: Optional[ShadowRunner] = None
         self.split: Optional[CanarySplitScorer] = None
-        self._primary_scorer: Optional[Any] = None
+        self._primary_scorer: Optional[Scorer] = None
         self._journal_sink: Optional[Callable[[], None]] = None
         # Fail fast on an unknown candidate before any traffic decisions.
         self.registry.get(self.candidate_version)
@@ -424,7 +416,7 @@ class CanaryController:
         if sink is not None:
             sink()
 
-    def _candidate_scorer(self) -> Any:
+    def _candidate_scorer(self) -> Scorer:
         bundle = self.registry.load(self.candidate_version)
         # Compile the candidate's scoring plan before it sees any traffic
         # (shadowed or split) — stage-graph construction belongs to the
@@ -536,9 +528,7 @@ class CanaryController:
         self.engine.set_scorer(candidate_scorer)
         primary, self._primary_scorer = self._primary_scorer, None
         if primary is not None and primary is not candidate_scorer:
-            close = getattr(primary, "close", None)
-            if close is not None:
-                close()
+            primary.close()
         self.registry.promote(self.candidate_version, note="canary gates clean")
         self.state = PROMOTED
         telem = get_telemetry()
@@ -559,9 +549,7 @@ class CanaryController:
         if self.state == CANARY and self.split is not None:
             assert self._primary_scorer is not None
             self.engine.set_scorer(self._primary_scorer)
-            close = getattr(self.split.candidate, "close", None)
-            if close is not None:
-                close()
+            self.split.candidate.close()
         else:
             self._detach_shadow()
         self.registry.set_status(

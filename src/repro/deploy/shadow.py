@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DeploymentError
-from repro.serving.results import Scored
+from repro.serving.results import Scored, Scorer
 from repro.telemetry import get_telemetry
 
 
@@ -41,10 +41,9 @@ class ShadowRunner:
     Parameters
     ----------
     candidate:
-        Scorer for the candidate model (``score_batch(frames) ->
-        BatchVerdicts`` — typically a
-        :class:`~repro.serving.PipelineScorer` over the candidate bundle).
-        The runner owns it: :meth:`close` closes it.
+        :class:`~repro.serving.results.Scorer` for the candidate model
+        (typically a :class:`~repro.serving.PipelineScorer` over the
+        candidate bundle).  The runner owns it: :meth:`close` closes it.
     fraction:
         Probability a scored frame is mirrored (seeded, so a replayed run
         mirrors the same requests).
@@ -57,7 +56,7 @@ class ShadowRunner:
 
     def __init__(
         self,
-        candidate: Any,
+        candidate: Scorer,
         fraction: float = 1.0,
         seed: int = 0,
         queue_capacity: int = 256,
@@ -83,7 +82,10 @@ class ShadowRunner:
             "agreements": 0,
             "errors": 0,
         }
-        self._score_deltas: List[float] = []
+        # Running aggregates, so memory stays bounded however long the
+        # mirror runs and stats() stays O(1).
+        self._delta_sum = 0.0
+        self._max_abs_delta = 0.0
         self._closed = False
         self._thread = threading.Thread(
             target=self._mirror_loop, name="deploy-shadow", daemon=True
@@ -139,7 +141,8 @@ class ShadowRunner:
                     self._counts["compared"] += 1
                     if agree:
                         self._counts["agreements"] += 1
-                    self._score_deltas.append(delta)
+                    self._delta_sum += delta
+                    self._max_abs_delta = max(self._max_abs_delta, abs(delta))
                 telem.counter(
                     "deploy.shadow_agree" if agree else "deploy.shadow_disagree"
                 ).inc()
@@ -155,18 +158,15 @@ class ShadowRunner:
     def stats(self) -> Dict[str, Any]:
         """Mirroring counters plus agreement/score-delta aggregates."""
         with self._lock:
-            counts = dict(self._counts)
-            deltas = list(self._score_deltas)
-        summary: Dict[str, Any] = dict(counts)
-        compared = counts["compared"]
-        summary["disagreements"] = compared - counts["agreements"]
+            summary: Dict[str, Any] = dict(self._counts)
+            delta_sum, max_abs_delta = self._delta_sum, self._max_abs_delta
+        compared = summary["compared"]
+        summary["disagreements"] = compared - summary["agreements"]
         summary["agreement_rate"] = (
-            counts["agreements"] / compared if compared else None
+            summary["agreements"] / compared if compared else None
         )
-        summary["mean_score_delta"] = float(np.mean(deltas)) if deltas else 0.0
-        summary["max_abs_score_delta"] = (
-            float(np.max(np.abs(deltas))) if deltas else 0.0
-        )
+        summary["mean_score_delta"] = delta_sum / compared if compared else 0.0
+        summary["max_abs_score_delta"] = max_abs_delta
         return summary
 
     # -- lifecycle -------------------------------------------------------
@@ -189,9 +189,7 @@ class ShadowRunner:
         self._closed = True
         self._queue.put(None)
         self._thread.join(timeout=10.0)
-        close = getattr(self.candidate, "close", None)
-        if close is not None:
-            close()
+        self.candidate.close()
 
     def __enter__(self) -> "ShadowRunner":
         return self

@@ -50,6 +50,16 @@ class ServingError(ReproError):
     """The serving runtime was misused or failed at request time."""
 
 
+class MalformedMessageError(ServingError):
+    """A whole wire message arrived, but its body is not a UTF-8 JSON object.
+
+    The length-prefixed framing is still intact, so the server answers
+    with an ``error`` reply and keeps reading the connection; a lost
+    frame (EOF mid-message, an oversize length) is a plain
+    :class:`ServingError` and closes it.
+    """
+
+
 class RequestRejectedError(ServingError):
     """The server refused a request at admission (client-side view).
 

@@ -1,8 +1,7 @@
 """Deterministic fault injection for the serving path.
 
-A :class:`FaultInjector` wraps any scorer (an object with
-``score_batch(frames) -> BatchVerdicts`` — a
-:class:`~repro.serving.engine.PipelineScorer` or a
+A :class:`FaultInjector` wraps any :class:`~repro.serving.results.Scorer`
+(a :class:`~repro.serving.engine.PipelineScorer` or a
 :class:`~repro.serving.pool.WorkerPool`) and perturbs calls according to a
 :class:`FaultSchedule`: the *k*-th ``score_batch`` call suffers the *k*-th
 scheduled fault.  Schedules are plain sequences (or seeded random draws),
@@ -16,7 +15,8 @@ Fault kinds (:data:`FAULT_KINDS`):
 * ``"exception"`` — raise :class:`~repro.exceptions.InjectedFaultError`
   instead of scoring (a backend bug).
 * ``"nan_scores"`` — score normally, then replace every score/margin with
-  NaN (the silent numeric-corruption failure mode the monitor must catch).
+  NaN (the silent numeric-corruption failure mode the monitor must catch);
+  the verdicts keep the wrapped scorer's model version.
 * ``"corrupt_frames"`` — overwrite the input frames with NaN before
   scoring (a broken sensor / DMA corruption upstream of the scorer).
 * ``"kill_worker"`` — SIGKILL one replica of a wrapped
@@ -24,8 +24,9 @@ Fault kinds (:data:`FAULT_KINDS`):
   pool's restart-and-retry path is exercised for real).  Ignored for
   in-process scorers, which have no processes to kill.
 
-The injector passes ``image_shape`` / ``dtype`` / ``replicas`` / ``close``
-through to the wrapped scorer, so it drops into a
+The injector is itself a :class:`~repro.serving.results.Scorer` that
+passes ``image_shape`` / ``dtype`` / ``replicas`` / ``model_version`` /
+``close`` through to the wrapped scorer, so it drops into a
 :class:`~repro.serving.engine.ServingEngine` unchanged — that is how
 ``repro bench-serve --chaos`` uses it.
 """
@@ -34,11 +35,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, InjectedFaultError
+from repro.serving.results import BatchVerdicts, Scorer
 
 #: Every fault kind a schedule may contain.
 FAULT_KINDS = ("latency", "exception", "nan_scores", "corrupt_frames", "kill_worker")
@@ -110,7 +112,7 @@ class FaultSchedule:
         }
 
 
-class FaultInjector:
+class FaultInjector(Scorer):
     """Scorer wrapper that injects scheduled faults into ``score_batch``.
 
     Parameters
@@ -127,7 +129,7 @@ class FaultInjector:
 
     def __init__(
         self,
-        scorer: Any,
+        scorer: Scorer,
         schedule: FaultSchedule,
         latency_ms: float = 50.0,
         sleep: Callable[[float], None] = time.sleep,
@@ -142,22 +144,21 @@ class FaultInjector:
         self._calls = 0
         self._injected: Dict[str, int] = {}
 
-    # The engine discovers these on its scorer; forward the wrapped one's.
     @property
     def replicas(self) -> int:
-        return int(getattr(self.scorer, "replicas", 1))
+        return self.scorer.replicas
 
     @property
     def image_shape(self):
-        return getattr(self.scorer, "image_shape", None)
+        return self.scorer.image_shape
 
     @property
     def dtype(self):
-        return getattr(self.scorer, "dtype", None)
+        return self.scorer.dtype
 
     @property
     def model_version(self):
-        return getattr(self.scorer, "model_version", None)
+        return self.scorer.model_version
 
     @property
     def calls(self) -> int:
@@ -180,16 +181,17 @@ class FaultInjector:
 
     def _kill_one_worker(self) -> None:
         """SIGKILL a live replica of a wrapped pool (no-op otherwise)."""
-        workers = getattr(self.scorer, "_workers", None)
-        if not workers:
+        from repro.serving.pool import WorkerPool
+
+        if not isinstance(self.scorer, WorkerPool):
             return
-        for worker in workers:
+        for worker in self.scorer._workers:
             if worker.process.is_alive():
                 worker.process.kill()
                 worker.process.join(timeout=10.0)
                 return
 
-    def score_batch(self, frames: np.ndarray):
+    def score_batch(self, frames: np.ndarray) -> BatchVerdicts:
         """Score through the wrapped backend, applying this call's fault."""
         kind = self._next_fault()
         if kind == "latency":
@@ -202,17 +204,15 @@ class FaultInjector:
             self._kill_one_worker()
         verdicts = self.scorer.score_batch(frames)
         if kind == "nan_scores":
-            from repro.serving.results import BatchVerdicts
-
             n = len(verdicts)
             return BatchVerdicts(
                 scores=np.full(n, np.nan),
                 is_novel=np.asarray(verdicts.is_novel),
                 margins=np.full(n, np.nan),
+                model_version=verdicts.model_version,
             )
         return verdicts
 
     def close(self) -> None:
-        close = getattr(self.scorer, "close", None)
-        if close is not None:
-            close()
+        """Close the wrapped scorer."""
+        self.scorer.close()

@@ -74,6 +74,7 @@ from repro.serving.results import (
     Rejected,
     RequestOutcome,
     Scored,
+    Scorer,
 )
 from repro.serving.service import ServingClient, ServingServer, recv_message, send_message
 
@@ -119,6 +120,7 @@ __all__ = [
     "Rejected",
     "RequestOutcome",
     "Scored",
+    "Scorer",
     "ServingClient",
     "ServingServer",
     "recv_message",

@@ -2,8 +2,8 @@
 
 :class:`ServingEngine` accepts single-frame requests, admits them into a
 bounded :class:`~repro.serving.batcher.MicroBatcher`, and runs one or more
-dispatch threads that pull micro-batches and hand them to a *scorer* — an
-object with ``score_batch(frames) -> BatchVerdicts``.  Two scorers exist:
+dispatch threads that pull micro-batches and hand them to a
+:class:`~repro.serving.results.Scorer`.  Two scorers serve a model:
 
 * :class:`PipelineScorer` — in-process, wraps a fitted pipeline;
 * :class:`repro.serving.pool.WorkerPool` — multiprocess replicas, one
@@ -15,16 +15,17 @@ admitted request whose deadline lapses while queued resolves to
 :class:`~repro.serving.results.DeadlineExceeded` without being scored.
 The engine never queues unboundedly and never blocks a producer.
 
-Fault tolerance is opt-in via :class:`EngineConfig`: a
-:class:`~repro.reliability.RetryPolicy` retries a raising backend with
-exponential backoff, a :class:`~repro.reliability.BreakerConfig` puts a
-circuit breaker in front of it (an open breaker resolves batches
-immediately instead of hammering a dead backend), and ``fail_safe``
-decides whether unscorable requests resolve to
-:class:`~repro.serving.results.Failed` or to a conservative
-:class:`~repro.serving.results.Degraded` verdict.  With reliability
-configured the engine also refuses to deliver non-finite scores as
-``Scored`` — NaN verdicts are a backend failure, not an answer.
+Every batch is scored through one guarded path.  Non-finite scores are
+a backend failure, not an answer: the engine never delivers them as
+``Scored``, and ``fail_safe`` decides whether unscorable requests resolve
+to :class:`~repro.serving.results.Failed` (the default) or to a
+conservative :class:`~repro.serving.results.Degraded` verdict.
+:class:`EngineConfig` adds the opt-in parts: a
+:class:`~repro.reliability.RetryPolicy` retries a failing backend with
+exponential backoff (one attempt without it), and a
+:class:`~repro.reliability.BreakerConfig` puts a circuit breaker in front
+of it (an open breaker resolves batches immediately instead of hammering
+a dead backend).
 
 Telemetry (when a session is active): ``serving.queue_depth``,
 ``serving.breaker_state`` and ``serving.admission.concurrency_limit``
@@ -59,7 +60,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, NotFittedError, ServingError, ShapeError
+from repro.exceptions import (
+    ConfigurationError,
+    DeploymentError,
+    NotFittedError,
+    ServingError,
+    ShapeError,
+)
 from repro.nn.backend.policy import as_tensor
 from repro.novelty.framework import SaliencyNoveltyPipeline
 from repro.reliability.breaker import BreakerConfig, CircuitBreaker
@@ -77,6 +84,7 @@ from repro.serving.results import (
     Rejected,
     RequestOutcome,
     Scored,
+    Scorer,
 )
 from repro.telemetry import TraceContext, get_telemetry
 from repro.utils.timer import percentile
@@ -85,10 +93,6 @@ _UNSET = object()
 
 #: Fail-safe policies for unscorable requests (see :class:`EngineConfig`).
 FAIL_SAFE_POLICIES = ("fail", "novel")
-
-#: Stand-in policy when only a breaker (no retry) is configured.
-_ONE_ATTEMPT = RetryPolicy(max_attempts=1)
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -108,8 +112,8 @@ class EngineConfig:
         Per-request deadline applied when ``submit`` does not pass one;
         ``None`` disables deadlines by default.
     retry:
-        Retry-with-backoff policy for a raising backend; ``None`` keeps
-        the historical single-attempt behavior.
+        Retry-with-backoff policy for a failing backend (one that raises
+        or returns non-finite scores); ``None`` tries each batch once.
     breaker:
         Circuit-breaker policy guarding the backend; ``None`` disables
         breaking.
@@ -158,16 +162,13 @@ class EngineConfig:
             )
 
 
-class PipelineScorer:
+class PipelineScorer(Scorer):
     """In-process scorer: one fitted pipeline, scored on the caller thread.
 
     ``model_version`` optionally names the model (a registry version or a
     bundle config hash); every :class:`BatchVerdicts` it produces carries
     it, so outcomes stay attributable across hot-swaps.
     """
-
-    #: Number of engine dispatch threads this scorer can keep busy.
-    replicas = 1
 
     def __init__(
         self,
@@ -207,24 +208,22 @@ class PipelineScorer:
                 model_version=self.model_version,
             )
 
-    def reload(self, target: Any, model_version: Optional[str] = None) -> None:
+    def reload(
+        self,
+        pipeline: SaliencyNoveltyPipeline,
+        model_version: Optional[str] = None,
+    ) -> None:
         """Hot-swap the pipeline without dropping the in-flight batch.
 
-        ``target`` is a fitted :class:`SaliencyNoveltyPipeline` or a
-        :class:`~repro.serving.artifacts.LoadedBundle` (whose pipeline and
-        config hash are used).  Taking the scoring lock *drains* the batch
-        currently being scored; the swap is then a plain attribute write,
-        so the next batch scores on the new model.  The new pipeline must
-        score the same ``(H, W)`` the engine validates submissions against.
+        Takes what the constructor takes: a fitted pipeline and its
+        version (for a loaded bundle, ``bundle.pipeline`` and
+        ``bundle.config_hash``).  Taking the scoring lock *drains* the
+        batch currently being scored; the swap is then a plain attribute
+        write, so the next batch scores on the new model.  The new pipeline
+        must score the same ``(H, W)`` the engine validates submissions
+        against.
         """
-        from repro.exceptions import DeploymentError
-
-        pipeline = getattr(target, "pipeline", target)
-        if model_version is None:
-            manifest = getattr(target, "manifest", None)
-            if manifest is not None:
-                model_version = manifest.get("config_hash")
-        if not getattr(pipeline, "is_fitted", False):
+        if not pipeline.is_fitted:
             raise NotFittedError("reload requires a fitted pipeline")
         if tuple(pipeline.image_shape) != tuple(self.image_shape):
             raise DeploymentError(
@@ -239,9 +238,6 @@ class PipelineScorer:
             self.pipeline = pipeline
             self.model_version = model_version
 
-    def close(self) -> None:
-        """Nothing to release for the in-process scorer."""
-
 
 class ServingEngine:
     """Micro-batched inference front door over a scorer backend.
@@ -249,13 +245,13 @@ class ServingEngine:
     Parameters
     ----------
     scorer:
-        Backend with ``score_batch(frames) -> BatchVerdicts`` plus optional
-        ``replicas`` (dispatch-thread count), ``image_shape`` (enables
-        shape validation at submit), and ``close()``.
+        The :class:`~repro.serving.results.Scorer` backend (anything else
+        raises :class:`~repro.exceptions.ConfigurationError`): one dispatch
+        thread per ``replicas``, frames checked against its ``image_shape``
+        and ``dtype``, closed by :meth:`close`.
     config:
         Batching/admission policy (defaults: batch 8, wait 2 ms, queue 64)
-        plus the optional reliability knobs (``retry``/``breaker``/
-        ``fail_safe``).
+        plus the reliability knobs (``retry``/``breaker``/``fail_safe``).
     breaker:
         A pre-built :class:`~repro.reliability.CircuitBreaker` to use
         instead of constructing one from ``config.breaker`` — chaos tests
@@ -267,10 +263,12 @@ class ServingEngine:
 
     def __init__(
         self,
-        scorer,
+        scorer: Scorer,
         config: Optional[EngineConfig] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
+        if not isinstance(scorer, Scorer):
+            raise ConfigurationError(f"ServingEngine needs a Scorer, got {type(scorer).__name__}")
         self.config = config or EngineConfig()
         self.scorer = scorer
         if breaker is not None:
@@ -281,11 +279,11 @@ class ServingEngine:
                 if self.config.breaker is not None
                 else None
             )
-        self._retry = self.config.retry
+        self._retry = self.config.retry or RetryPolicy(max_attempts=1)
         # One jitter stream shared by every dispatch thread; exact
         # interleaving does not matter, determinism per-policy-seed does.
-        self._retry_rng = (self._retry or _ONE_ATTEMPT).make_rng()
-        replicas = max(1, int(getattr(scorer, "replicas", 1)))
+        self._retry_rng = self._retry.make_rng()
+        replicas = scorer.replicas
         if self.config.qos is not None:
             self._batcher: Any = WeightedClassBatcher(
                 self.config.qos,
@@ -328,7 +326,7 @@ class ServingEngine:
                 name=f"serving-dispatch-{i}",
                 daemon=True,
             )
-            for i in range(max(1, int(getattr(scorer, "replicas", 1))))
+            for i in range(replicas)
         ]
         for thread in self._threads:
             thread.start()
@@ -357,12 +355,11 @@ class ServingEngine:
         ``serving.frontend`` span); with telemetry active and no ``trace``
         a fresh root is generated for the request.
         """
-        frame = as_tensor(frame, getattr(self.scorer, "dtype", None))
-        expected = getattr(self.scorer, "image_shape", None)
-        if frame.ndim != 2 or (expected is not None and frame.shape != tuple(expected)):
-            raise ShapeError(
-                f"submit expects one ({expected or 'H, W'}) frame, got {frame.shape}"
-            )
+        scorer = self.scorer
+        frame = as_tensor(frame, scorer.dtype)
+        expected = tuple(scorer.image_shape)
+        if frame.shape != expected:
+            raise ShapeError(f"submit expects one {expected} frame, got {frame.shape}")
         admission = self.admission
         if admission is not None:
             qos_class = admission.resolve_class(qos_class)
@@ -466,24 +463,18 @@ class ServingEngine:
         Frames beyond ``queue_capacity`` naturally resolve to
         ``Overloaded`` — size the engine's queue for the burst you send.
         """
-        pendings = [
-            self.submit(frame)
-            for frame in as_tensor(frames, getattr(self.scorer, "dtype", None))
-        ]
+        pendings = [self.submit(frame) for frame in as_tensor(frames, self.scorer.dtype)]
         return [p.result(timeout_s) for p in pendings]
 
     # -- reliability -----------------------------------------------------
     def _score_guarded(self, stack: np.ndarray) -> Tuple[BatchVerdicts, int]:
         """One micro-batch through the retry + breaker wrappers.
 
-        Returns ``(verdicts, retries_used)``.  With no reliability
-        configured this is exactly the historical single call.  Otherwise
-        every attempt outcome feeds the breaker, non-finite scores count
-        as a backend failure, and the final failure (after retries) is
+        Returns ``(verdicts, retries_used)``.  Non-finite scores count as a
+        backend failure, every attempt outcome feeds the breaker (when
+        one is configured), and the final failure (after retries) is
         re-raised for the dispatch loop to resolve.
         """
-        if self._retry is None and self.breaker is None:
-            return self.scorer.score_batch(stack), 0
 
         def attempt() -> BatchVerdicts:
             verdicts = self.scorer.score_batch(stack)
@@ -499,7 +490,7 @@ class ServingEngine:
 
         verdicts, retries = call_with_retry(
             attempt,
-            self._retry if self._retry is not None else _ONE_ATTEMPT,
+            self._retry,
             retryable=Exception,
             on_failure=on_failure,
             rng=self._retry_rng,
@@ -644,9 +635,7 @@ class ServingEngine:
                 with self._stats_lock:
                     self._counts["retries"] += retries
             done = time.monotonic()
-            model_version = getattr(verdicts, "model_version", None)
-            if model_version is None:
-                model_version = getattr(self.scorer, "model_version", None)
+            model_version = verdicts.model_version
             resolved: List[Tuple[np.ndarray, Scored]] = []
             latency_histogram = telem.histogram("serving.request_latency")
             score_window = telem.window_histogram("monitor.score_window")
@@ -705,45 +694,39 @@ class ServingEngine:
         :meth:`PipelineScorer.reload` drains the in-flight batch and swaps
         the pipeline; :meth:`~repro.serving.pool.WorkerPool.reload`
         replaces replicas one at a time (round-robin), so capacity never
-        drops to zero.  ``target`` is whatever the scorer accepts (a
-        :class:`~repro.serving.artifacts.LoadedBundle`, a fitted pipeline,
-        or a bundle path for the pool).  Emits a ``deploy.swap`` span/
-        event and bumps the ``deploy.swaps`` counter.
+        drops to zero.  ``target`` is what the scorer's constructor takes
+        (a fitted pipeline, or a bundle directory for the pool); a scorer
+        without hot-swap raises :class:`~repro.exceptions.DeploymentError`.
+        Emits a ``deploy.swap`` span/event and bumps the ``deploy.swaps``
+        counter.
         """
-        from repro.exceptions import DeploymentError
-
-        reload_fn = getattr(self.scorer, "reload", None)
-        if reload_fn is None:
-            raise DeploymentError(
-                f"scorer {type(self.scorer).__name__} does not support hot-swap "
-                "(no reload method)"
-            )
         telem = get_telemetry()
         with telem.span("deploy.swap", trace="new"):
-            reload_fn(target, model_version=model_version)
-        swapped_to = getattr(self.scorer, "model_version", model_version)
+            self.scorer.reload(target, model_version=model_version)
         telem.counter("deploy.swaps").inc()
-        telem.event("deploy.swap", model_version=swapped_to)
+        telem.event("deploy.swap", model_version=self.scorer.model_version)
         with self._stats_lock:
             self._counts["reloads"] += 1
 
-    def set_scorer(self, scorer: Any) -> None:
+    def set_scorer(self, scorer: Scorer) -> None:
         """Swap the scorer object itself (the canary split install path).
 
-        The replacement must score the same ``(H, W)`` frames; dispatch
-        threads pick it up on their next batch.  Used by
+        The replacement must be a :class:`~repro.serving.results.Scorer`
+        of the same ``(H, W)`` frames (else
+        :class:`~repro.exceptions.DeploymentError`); dispatch threads pick
+        it up on their next batch.  Used by
         :class:`~repro.deploy.CanaryController` to install and remove a
         :class:`~repro.deploy.CanarySplitScorer`; for a plain model
         upgrade prefer :meth:`reload`, which drains per replica.
         """
-        from repro.exceptions import DeploymentError
-
-        expected = getattr(self.scorer, "image_shape", None)
-        offered = getattr(scorer, "image_shape", None)
-        if expected is not None and offered is not None and tuple(expected) != tuple(offered):
+        if not isinstance(scorer, Scorer):
+            raise DeploymentError(f"set_scorer needs a Scorer, got {type(scorer).__name__}")
+        expected = tuple(self.scorer.image_shape)
+        offered = tuple(scorer.image_shape)
+        if expected != offered:
             raise DeploymentError(
-                f"scorer swap shape mismatch: serving {tuple(expected)}, "
-                f"candidate scores {tuple(offered)}"
+                f"scorer swap shape mismatch: serving {expected}, "
+                f"candidate scores {offered}"
             )
         self.scorer = scorer
 
@@ -762,8 +745,8 @@ class ServingEngine:
         """Counts plus end-to-end latency percentiles (milliseconds).
 
         Includes the loaded model's identity — ``model_version`` (registry
-        version or bundle hash, when the scorer advertises one) and
-        ``dtype`` — so operators can tell *what* is serving, not just the
+        version or bundle hash, when the scorer has one) and ``dtype`` —
+        so operators can tell *what* is serving, not just the
         ``last_trace_id`` of whatever it served.
         """
         with self._stats_lock:
@@ -778,12 +761,10 @@ class ServingEngine:
             admission_stats["in_flight"] = in_flight
             admission_stats["queue_depths"] = self._batcher.depths()
             summary["admission"] = admission_stats
-        model_version = getattr(self.scorer, "model_version", None)
-        if model_version is not None:
-            summary["model_version"] = model_version
-        dtype = getattr(self.scorer, "dtype", None)
-        if dtype is not None:
-            summary["dtype"] = np.dtype(dtype).name
+        scorer = self.scorer
+        if scorer.model_version is not None:
+            summary["model_version"] = scorer.model_version
+        summary["dtype"] = np.dtype(scorer.dtype).name
         if last_trace_id is not None:
             summary["last_trace_id"] = last_trace_id
         if self.breaker is not None:
@@ -820,9 +801,7 @@ class ServingEngine:
             request.pending.resolve(closed)
         with self._stats_lock:
             self._in_flight -= len(leftovers)
-        close = getattr(self.scorer, "close", None)
-        if close is not None:
-            close()
+        self.scorer.close()
 
     def __enter__(self) -> "ServingEngine":
         return self

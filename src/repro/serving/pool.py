@@ -8,10 +8,9 @@ pipes, health-checks replicas with pings, and transparently respawns a
 worker that died — retrying the in-flight batch once on the fresh replica
 before giving up with :class:`~repro.exceptions.WorkerCrashError`.
 
-The pool exposes the same ``score_batch``/``image_shape``/``replicas``
-surface as :class:`~repro.serving.engine.PipelineScorer`, so a
-:class:`~repro.serving.engine.ServingEngine` runs one dispatch thread per
-worker and keeps every replica busy.
+The pool is a :class:`~repro.serving.results.Scorer` whose ``replicas``
+is its worker count, so a :class:`~repro.serving.engine.ServingEngine`
+runs one dispatch thread per worker and keeps every replica busy.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ServingError, WorkerCrashError
+from repro.exceptions import ConfigurationError, DeploymentError, ServingError, WorkerCrashError
 from repro.nn.backend.policy import as_tensor, resolve_dtype
 from repro.reliability.retry import RetryPolicy, call_with_retry
 from repro.serving.artifacts import read_manifest
-from repro.serving.results import BatchVerdicts
+from repro.serving.results import BatchVerdicts, Scorer
 from repro.telemetry import current_trace, get_telemetry
 from repro.utils.log import get_logger
 
@@ -50,12 +49,13 @@ def _worker_main(
     broken pipe / timeout and answered with a restart.  ``dtype`` overrides
     the bundle's recorded precision policy for this replica.
 
-    Tracing: a score message may carry a serialized trace context as its
-    4th element.  The worker then scores under a ``worker.score_batch``
-    span parented to it (with per-kernel spans nested inside when
-    ``profile_kernels`` is set) and returns the finished span records in
-    the reply, so the parent can replay them into its own sink — one JSONL
-    file ends up holding the whole cross-process request tree.
+    Tracing: the 4th element of a score message is a serialized trace
+    context, or ``None`` for an untraced batch.  With one, the worker
+    scores under a ``worker.score_batch`` span parented to it (with
+    per-kernel spans nested inside when ``profile_kernels`` is set) and
+    returns the finished span records as the reply's 6th element (empty
+    when untraced), so the parent can replay them into its own sink — one
+    JSONL file ends up holding the whole cross-process request tree.
     """
     from repro.serving.artifacts import load_bundle
     from repro.serving.engine import PipelineScorer
@@ -85,8 +85,7 @@ def _worker_main(
         if op == "ping":
             conn.send(("pong", message[1]))
         elif op == "score":
-            request_id, frames = message[1], message[2]
-            trace_payload = message[3] if len(message) > 3 else None
+            request_id, frames, trace_payload = message[1], message[2], message[3]
             try:
                 spans: List[Dict[str, Any]] = []
                 if trace_payload is not None:
@@ -134,7 +133,7 @@ class _Worker:
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
-class WorkerPool:
+class WorkerPool(Scorer):
     """Round-robin pool of bundle-loaded engine replicas.
 
     Parameters
@@ -325,8 +324,7 @@ class WorkerPool:
             )
         if reply[0] == "err":
             raise ServingError(f"worker {worker.index} scoring error: {reply[2]}")
-        scores, is_novel, margins = reply[2], reply[3], reply[4]
-        worker_spans = reply[5] if len(reply) > 5 else []
+        scores, is_novel, margins, worker_spans = reply[2:6]
         if worker_spans:
             telem = get_telemetry()
             if telem.enabled:
@@ -340,31 +338,25 @@ class WorkerPool:
         )
 
     # -- hot-swap --------------------------------------------------------
-    def reload(self, target: Union[str, Path, Any], model_version: Optional[str] = None) -> None:
+    def reload(self, bundle_dir: Union[str, Path], model_version: Optional[str] = None) -> None:
         """Zero-downtime rolling swap: move every replica to a new bundle.
 
-        ``target`` is a bundle directory (or a
-        :class:`~repro.serving.artifacts.LoadedBundle`, whose path and
-        config hash are used).  The new manifest is validated up front and
-        must score the same ``(H, W)``.  Replicas are then replaced *one at
-        a time*: a fresh process loads the new bundle, proves readiness by
-        answering a ping, and only then — under the replica's request lock,
-        i.e. after its in-flight batch drains — takes over the slot; the
-        old process is stopped.  N-1 replicas keep serving throughout, so
-        capacity never drops to zero, and a candidate that fails to come up
-        aborts the swap with the remaining replicas untouched (already
-        swapped replicas stay on the new bundle; re-run ``reload`` either
-        way to converge).
+        Takes what the constructor takes: a bundle directory and its
+        version (for a loaded bundle, ``bundle.path`` and
+        ``bundle.config_hash``).  The new manifest is validated up front
+        and must score the same ``(H, W)``.  Replicas are then replaced
+        *one at a time*: a fresh process loads the new bundle, proves
+        readiness by answering a ping, and only then — under the replica's
+        request lock, i.e. after its in-flight batch drains — takes over
+        the slot; the old process is stopped.  N-1 replicas keep serving
+        throughout, so capacity never drops to zero, and a candidate that
+        fails to come up aborts the swap with the remaining replicas
+        untouched (already swapped replicas stay on the new bundle; re-run
+        ``reload`` either way to converge).
         """
-        from repro.exceptions import DeploymentError
-
         if self._closed:
             raise ServingError("WorkerPool.reload called after close()")
-        if model_version is None:
-            manifest_attr = getattr(target, "manifest", None)
-            if manifest_attr is not None:
-                model_version = manifest_attr.get("config_hash")
-        bundle_dir = Path(getattr(target, "path", target))
+        bundle_dir = Path(bundle_dir)
         manifest = read_manifest(bundle_dir)
         new_shape = tuple(manifest["image_shape"])
         if new_shape != tuple(self.image_shape):

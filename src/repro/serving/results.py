@@ -19,18 +19,21 @@ without a try/except ladder:
 * :class:`Failed` — the scoring backend raised (or the engine shut down).
 
 :class:`PendingResult` is the future handed back by ``submit``; callers
-block on :meth:`PendingResult.result`.
+block on :meth:`PendingResult.result`.  :class:`Scorer` is the backend
+contract the engine scores through, and :class:`BatchVerdicts` is what
+its ``score_batch`` returns.
 """
 
 from __future__ import annotations
 
+import abc
 import threading
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import Any, ClassVar, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import ServingError
+from repro.exceptions import DeploymentError, ServingError
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class Scored:
         Backend retries spent before this verdict (0 on a clean first try).
     model_version:
         Registry version (or bundle config hash) of the model that scored
-        this frame, when the scorer advertises one — under a hot-swap or a
+        this frame, when its scorer has one — under a hot-swap or a
         canary split this is the only record of *which* model answered.
     """
 
@@ -200,9 +203,8 @@ class BatchVerdicts:
     """Vectorized verdicts for one scored micro-batch (scorer output).
 
     ``model_version`` names the model that produced the batch (a registry
-    version or bundle hash); scorers that predate versioning leave it
-    ``None`` and the engine falls back to the scorer's own advertised
-    version when stamping outcomes.
+    version or bundle hash, ``None`` when the scorer was given none); the
+    engine stamps it onto every ``Scored`` outcome of the batch.
     """
 
     scores: np.ndarray
@@ -221,3 +223,32 @@ class BatchVerdicts:
     def __len__(self) -> int:
         """Number of frames this batch scored."""
         return len(self.scores)
+
+
+class Scorer(abc.ABC):
+    """The backend contract :class:`~repro.serving.ServingEngine` scores through.
+
+    Subclasses implement :meth:`score_batch` and set ``image_shape`` (the
+    ``(H, W)`` every submitted frame must have) and ``dtype`` (the
+    precision frames are coerced to before scoring).  The remaining
+    members have defaults: one dispatch thread, no model version, nothing
+    to release on :meth:`close`, and no hot-swap.
+    """
+
+    image_shape: Tuple[int, int]
+    dtype: np.dtype
+    #: Number of engine dispatch threads this scorer can keep busy.
+    replicas: int = 1
+    #: Registry version (or bundle config hash) of the model being served.
+    model_version: Optional[str] = None
+
+    @abc.abstractmethod
+    def score_batch(self, frames: np.ndarray) -> BatchVerdicts:
+        """Vectorized verdicts for an ``(N, H, W)`` stack."""
+
+    def reload(self, target: Any, model_version: Optional[str] = None) -> None:
+        """Hot-swap the served model; refused unless a subclass supports it."""
+        raise DeploymentError(f"scorer {type(self).__name__} does not support hot-swap")
+
+    def close(self) -> None:
+        """Release the backend's resources (nothing by default)."""

@@ -20,7 +20,9 @@ responses mirror the engine's typed outcomes via a ``status`` field:
 ``qos_class`` and optionally ``retry_after_ms``), ``"overloaded"`` (with
 ``queue_depth`` / ``capacity``), ``"deadline_exceeded"``, ``"failed"``,
 or ``"error"`` for malformed requests.  The request's ``id`` is echoed
-back verbatim.
+back verbatim.  A message whose body is not a UTF-8 JSON object gets an
+``"error"`` reply with ``"id": null`` and the connection stays open; a
+broken frame (EOF mid-message, an oversize length) closes it.
 
 Tracing: a score request may carry a ``"trace"`` object (the
 ``to_dict()`` form of a :class:`~repro.telemetry.TraceContext`) to parent
@@ -46,6 +48,7 @@ import numpy as np
 
 from repro.exceptions import (
     ConfigurationError,
+    MalformedMessageError,
     RequestFailedError,
     RequestRejectedError,
     RequestTimedOutError,
@@ -96,7 +99,12 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
 
 
 def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Read one message; ``None`` on a clean EOF between messages."""
+    """Read one message; ``None`` on a clean EOF between messages.
+
+    Raises :class:`~repro.exceptions.MalformedMessageError` for a whole
+    body that is not a UTF-8 JSON object (the stream is still in sync),
+    and :class:`~repro.exceptions.ServingError` when the framing is lost.
+    """
     header = _recv_exact(sock, _LENGTH.size)
     if header is None:
         return None
@@ -106,9 +114,12 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
     body = _recv_exact(sock, length)
     if body is None:
         raise ServingError("connection closed mid-message")
-    payload = json.loads(body.decode("utf-8"))
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        raise MalformedMessageError(f"message body is not UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ServingError("protocol messages must be JSON objects")
+        raise MalformedMessageError("protocol messages must be JSON objects")
     return payload
 
 
@@ -170,13 +181,17 @@ class ServingServer:
             while True:
                 try:
                     request = recv_message(conn)
-                except (ServingError, json.JSONDecodeError, OSError) as exc:
+                except MalformedMessageError as exc:
+                    response = {"id": None, "status": "error", "error": str(exc)}
+                except (ServingError, OSError) as exc:
                     _log.info("dropping connection from %s: %s", peer, exc)
                     return
-                if request is None:
-                    return
+                else:
+                    if request is None:
+                        return
+                    response = self._respond(request)
                 try:
-                    send_message(conn, self._respond(request))
+                    send_message(conn, response)
                 except OSError:
                     return
 
@@ -202,9 +217,7 @@ class ServingServer:
             except SerializationError as exc:
                 return {"id": request_id, "status": "error", "error": str(exc)}
         try:
-            frame = as_tensor(
-                request["frame"], getattr(self.engine.scorer, "dtype", None)
-            )
+            frame = as_tensor(request["frame"], self.engine.scorer.dtype)
             deadline_kwargs: Dict[str, Any] = {}
             if "deadline_ms" in request:
                 deadline_kwargs["deadline_ms"] = request["deadline_ms"]
@@ -236,9 +249,11 @@ class ServingServer:
             return
         self._closed = True
         try:
-            self._listener.close()
+            # Wakes the accept thread; close() alone leaves it blocked.
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
 
@@ -318,11 +333,10 @@ class ServingClient:
             try:
                 send_message(self._sock, payload)
                 reply = recv_message(self._sock)
-            except ServingError:
-                raise
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-                # Raw socket/codec failures become one typed error, so
-                # callers need a single except clause for the transport.
+            except (OSError, MalformedMessageError) as exc:
+                # Raw socket failures and undecodable replies become one
+                # typed error, so callers need a single except clause for
+                # the transport.
                 raise ServingError(
                     f"wire failure during {op!r} request: "
                     f"{type(exc).__name__}: {exc}"

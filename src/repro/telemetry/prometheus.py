@@ -273,8 +273,11 @@ class MetricsServer:
         server.daemon_threads = True
         self._server = server
         self.port = server.server_address[1]
+        # stop() waits for serve_forever's next poll; a short poll keeps
+        # shutdown prompt.
         self._thread = threading.Thread(
             target=server.serve_forever,
+            kwargs={"poll_interval": 0.05},
             name="repro-metrics-server",
             daemon=True,
         )

@@ -38,6 +38,7 @@ from repro.serving import (
     QosPolicy,
     Rejected,
     Scored,
+    Scorer,
     ServingEngine,
     run_mixed_load,
 )
@@ -48,11 +49,11 @@ FRAME_SHAPE = (4, 4)
 OUTCOME_TYPES = (Scored, Rejected, Overloaded, DeadlineExceeded, Degraded, Failed)
 
 
-class _StubScorer:
+class _StubScorer(Scorer):
     """Fast deterministic backend so chaos storms don't pay for real VBP."""
 
-    replicas = 1
     image_shape = FRAME_SHAPE
+    dtype = np.dtype("float64")
 
     def __init__(self):
         self.calls = 0

@@ -5,15 +5,14 @@ import pytest
 
 from repro.deploy import CanarySplitScorer, RolloutGates, ShadowRunner
 from repro.exceptions import ConfigurationError, RolloutError
-from repro.serving.results import BatchVerdicts, Scored
+from repro.serving.results import BatchVerdicts, Scored, Scorer
 
 
-class StubScorer:
+class StubScorer(Scorer):
     """Deterministic scorer: fixed score, novelty by threshold."""
 
-    replicas = 1
     image_shape = (4, 6)
-    dtype = np.float64
+    dtype = np.dtype("float64")
 
     def __init__(self, score=0.1, threshold=0.5, model_version=None, fail=False):
         self.score = score

@@ -9,6 +9,7 @@ from repro.exceptions import DeploymentError, NotFittedError, ServingError
 from repro.serving import (
     EngineConfig,
     PipelineScorer,
+    Scorer,
     ServingEngine,
     WorkerPool,
     load_bundle,
@@ -28,17 +29,9 @@ class TestPipelineScorerReload:
     def test_swaps_pipeline_and_version(self, fitted_pipeline, bundle_dir):
         scorer = PipelineScorer(fitted_pipeline, model_version="v1")
         bundle = load_bundle(bundle_dir)
-        scorer.reload(bundle, model_version="v2")
+        scorer.reload(bundle.pipeline, model_version="v2")
         assert scorer.model_version == "v2"
         assert scorer.pipeline is bundle.pipeline
-
-    def test_version_defaults_to_the_bundle_config_hash(
-        self, fitted_pipeline, bundle_dir
-    ):
-        scorer = PipelineScorer(fitted_pipeline, model_version="v1")
-        bundle = load_bundle(bundle_dir)
-        scorer.reload(bundle)
-        assert scorer.model_version == bundle.config_hash
 
     def test_rejects_an_unfitted_pipeline(self, fitted_pipeline, trained_pilotnet):
         from repro.config import CI
@@ -94,7 +87,7 @@ class TestEngineReload:
             for i in range(60):
                 pendings.append(engine.submit(dsu_test.frames[i % len(dsu_test.frames)]))
                 if i == 20:
-                    engine.reload(bundle, model_version="v2")
+                    engine.reload(bundle.pipeline, model_version="v2")
             return [p.result(60.0) for p in pendings]
 
         try:
@@ -117,9 +110,9 @@ class TestEngineReload:
             engine.close()
 
     def test_reload_requires_a_reloadable_scorer(self, fitted_pipeline):
-        class Fixed:
-            replicas = 1
+        class Fixed(Scorer):
             image_shape = fitted_pipeline.image_shape
+            dtype = fitted_pipeline.dtype
 
             def score_batch(self, frames):  # pragma: no cover - never scored
                 raise AssertionError
@@ -134,13 +127,24 @@ class TestEngineReload:
     def test_set_scorer_rejects_a_shape_mismatch(self, fitted_pipeline):
         engine = ServingEngine(PipelineScorer(fitted_pipeline))
 
-        class WrongShape:
-            replicas = 1
+        class WrongShape(Scorer):
             image_shape = (99, 99)
+            dtype = fitted_pipeline.dtype
+
+            def score_batch(self, frames):  # pragma: no cover - never scored
+                raise AssertionError
 
         try:
             with pytest.raises(DeploymentError, match="shape mismatch"):
                 engine.set_scorer(WrongShape())
+        finally:
+            engine.close()
+
+    def test_set_scorer_refuses_a_non_scorer(self, fitted_pipeline):
+        engine = ServingEngine(PipelineScorer(fitted_pipeline))
+        try:
+            with pytest.raises(DeploymentError, match="needs a Scorer"):
+                engine.set_scorer(object())
         finally:
             engine.close()
 
@@ -179,14 +183,6 @@ class TestWorkerPoolReload:
             assert stats["alive"] == 2
             assert stats["model_version"] == "v2"
             assert pool.bundle_dir == swap_bundle_dir
-
-    def test_version_defaults_to_the_loaded_bundle_hash(
-        self, bundle_dir, swap_bundle_dir, dsu_test
-    ):
-        bundle = load_bundle(swap_bundle_dir)
-        with WorkerPool(bundle_dir, workers=1, request_timeout_s=120.0) as pool:
-            pool.reload(bundle)
-            assert pool.model_version == bundle.config_hash
 
     def test_bad_candidate_aborts_and_keeps_serving(
         self, bundle_dir, tmp_path, dsu_test

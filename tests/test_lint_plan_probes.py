@@ -1,11 +1,15 @@
-"""Lint-style test: no duck-typed probes of the scoring-plan surface.
+"""Lint-style test: no duck-typed probes of the scoring surfaces.
 
 Every detector declares its own compiled :class:`~repro.pipeline.ScoringPlan`,
 every saliency method consumes the plan's cached forward, and every
-saliency pipeline offers the fused steering path.  A ``getattr`` or
-``hasattr`` naming one of these attributes is how a plan-less fallback
-path — a second way to score a frame — creeps back in.  This test walks
-the AST of every module under ``src/repro/`` and flags any such probe.
+saliency pipeline offers the fused steering path.  Every serving backend
+is a :class:`~repro.serving.results.Scorer`, whose members (and the
+reload inputs its ``reload`` takes) are declared, not optional.  A
+``getattr`` or ``hasattr`` naming one of these attributes is how a
+fallback path — a second way to score a frame — creeps back in.  This
+test walks the AST of every module under ``src/repro/`` for the plan
+surface, and of the serving, deploy and reliability packages for the
+scorer surface, and flags any such probe.
 """
 
 import ast
@@ -27,13 +31,45 @@ PLAN_SURFACE = frozenset(
 )
 
 
+#: Members of the declared Scorer contract and of the reload inputs.
+SCORER_SURFACE = frozenset(
+    {
+        "replicas",
+        "image_shape",
+        "dtype",
+        "model_version",
+        "score_batch",
+        "reload",
+        "close",
+        "pipeline",
+        "manifest",
+        "path",
+        "is_fitted",
+        "_workers",
+    }
+)
+
+#: Packages that hold, wrap or route scorers.
+SCORER_PACKAGES = ("serving", "deploy", "reliability")
+
+
 def _linted_files():
     files = sorted(SRC.rglob("*.py"))
     assert files, "source tree not found — did the layout move?"
     return files
 
 
-def _plan_probes(tree: ast.AST):
+def _scorer_files():
+    files = [
+        path
+        for package in SCORER_PACKAGES
+        for path in sorted((SRC / package).rglob("*.py"))
+    ]
+    assert files, "scorer packages not found — did the layout move?"
+    return files
+
+
+def _probes(tree: ast.AST, surface=PLAN_SURFACE):
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
@@ -41,23 +77,38 @@ def _plan_probes(tree: ast.AST):
             and node.func.id in ("getattr", "hasattr")
             and len(node.args) >= 2
             and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value in PLAN_SURFACE
+            and node.args[1].value in surface
         ):
             yield node
+
+
+def _offenders(path, surface):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"line {call.lineno}: {call.func.id}(..., {call.args[1].value!r})"
+        for call in _probes(tree, surface)
+    ]
 
 
 @pytest.mark.parametrize(
     "path", _linted_files(), ids=lambda p: str(p.relative_to(SRC))
 )
 def test_no_probes_of_the_plan_surface(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    offenders = [
-        f"line {call.lineno}: {call.func.id}(..., {call.args[1].value!r})"
-        for call in _plan_probes(tree)
-    ]
+    offenders = _offenders(path, PLAN_SURFACE)
     assert not offenders, (
         f"{path.relative_to(SRC.parent.parent)} probes for the plan surface "
         f"instead of calling it:\n  " + "\n  ".join(offenders)
+    )
+
+
+@pytest.mark.parametrize(
+    "path", _scorer_files(), ids=lambda p: str(p.relative_to(SRC))
+)
+def test_no_probes_of_the_scorer_surface(path):
+    offenders = _offenders(path, SCORER_SURFACE)
+    assert not offenders, (
+        f"{path.relative_to(SRC.parent.parent)} probes for the Scorer "
+        f"surface instead of reading it:\n  " + "\n  ".join(offenders)
     )
 
 
@@ -70,4 +121,20 @@ def test_no_probes_of_the_plan_surface(path):
 )
 def test_lint_catches_a_probe(source):
     """The lint itself fires on a probing call."""
-    assert len(list(_plan_probes(ast.parse(source)))) == 1
+    assert len(list(_probes(ast.parse(source)))) == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'replicas = int(getattr(scorer, "replicas", 1))',
+        'close = getattr(self.scorer, "close", None)',
+        'bundle_dir = Path(getattr(target, "path", target))',
+        'workers = getattr(self.scorer, "_workers", None)',
+    ],
+)
+def test_lint_catches_a_scorer_probe(source):
+    """The scorer lint fires on a probing call, and the plan lint does not."""
+    tree = ast.parse(source)
+    assert len(list(_probes(tree, SCORER_SURFACE))) == 1
+    assert not list(_probes(tree))

@@ -25,7 +25,7 @@ from repro.reliability import (
     call_with_retry,
     finite_scores_mask,
 )
-from repro.serving import BatchVerdicts
+from repro.serving import BatchVerdicts, Scorer
 
 
 class _FakeClock:
@@ -297,11 +297,11 @@ class TestCircuitBreaker:
         assert breaker.state_code() == 1
 
 
-class _StubScorer:
+class _StubScorer(Scorer):
     """Minimal in-process backend recording the frames it was handed."""
 
-    replicas = 1
     image_shape = (4, 4)
+    dtype = np.dtype("float64")
 
     def __init__(self):
         self.batches = []

@@ -21,6 +21,7 @@ from repro.serving import (
     RateLimit,
     Rejected,
     Scored,
+    Scorer,
     ServingEngine,
     WeightedClassBatcher,
 )
@@ -259,11 +260,11 @@ class TestWeightedClassBatcher:
         assert batcher.next_batch() is None
 
 
-class _InstantScorer:
+class _InstantScorer(Scorer):
     """Scores immediately; deterministic latency-free backend."""
 
-    replicas = 1
     image_shape = FRAME_SHAPE
+    dtype = np.dtype("float64")
 
     def score_batch(self, frames):
         n = len(frames)
@@ -272,9 +273,9 @@ class _InstantScorer:
         )
 
 
-class _BlockingScorer:
-    replicas = 1
+class _BlockingScorer(Scorer):
     image_shape = FRAME_SHAPE
+    dtype = np.dtype("float64")
 
     def __init__(self):
         self.release = threading.Event()

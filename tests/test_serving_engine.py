@@ -15,18 +15,19 @@ from repro.serving import (
     Overloaded,
     PipelineScorer,
     Scored,
+    Scorer,
     ServingEngine,
 )
 
 FRAME_SHAPE = (4, 4)
 
 
-class _BlockingScorer:
+class _BlockingScorer(Scorer):
     """Stub backend that parks every batch until told to proceed — lets the
     tests fill the bounded queue deterministically."""
 
-    replicas = 1
     image_shape = FRAME_SHAPE
+    dtype = np.dtype("float64")
 
     def __init__(self):
         self.release = threading.Event()
@@ -43,9 +44,9 @@ class _BlockingScorer:
         )
 
 
-class _RaisingScorer:
-    replicas = 1
+class _RaisingScorer(Scorer):
     image_shape = FRAME_SHAPE
+    dtype = np.dtype("float64")
 
     def score_batch(self, frames):
         raise RuntimeError("backend exploded")
@@ -91,6 +92,10 @@ class TestScoring:
             pipeline_engine.submit(np.zeros((3, 3)))
         with pytest.raises(ShapeError):
             pipeline_engine.submit(np.zeros(7))
+
+    def test_engine_refuses_a_non_scorer(self):
+        with pytest.raises(ConfigurationError, match="needs a Scorer"):
+            ServingEngine(object())
 
     def test_unfitted_pipeline_rejected(self, trained_pilotnet):
         from repro.config import CI
@@ -262,11 +267,11 @@ class TestEngineConfig:
             EngineConfig(**kwargs)
 
 
-class _FlakyScorer:
+class _FlakyScorer(Scorer):
     """Fails its first ``failures`` batches, then scores normally."""
 
-    replicas = 1
     image_shape = FRAME_SHAPE
+    dtype = np.dtype("float64")
 
     def __init__(self, failures=1):
         self.failures = failures
@@ -284,9 +289,9 @@ class _FlakyScorer:
         )
 
 
-class _NaNScorer:
-    replicas = 1
+class _NaNScorer(Scorer):
     image_shape = FRAME_SHAPE
+    dtype = np.dtype("float64")
 
     def score_batch(self, frames):
         n = len(frames)
@@ -339,13 +344,15 @@ class TestReliability:
         assert isinstance(outcome, Degraded)
         assert "non-finite" in outcome.reason
 
-    def test_nan_scores_pass_through_without_reliability(self):
-        """Documents the legacy contract: an unconfigured engine delivers
-        whatever the backend produced."""
+    def test_nan_scores_fail_on_an_unconfigured_engine(self):
+        """No retry, breaker or fail-safe configured: a NaN score is still a
+        backend failure, never a ``Scored`` verdict."""
         with ServingEngine(_NaNScorer(), EngineConfig(max_batch_size=4)) as engine:
             outcome = engine.infer(_frame())
-        assert isinstance(outcome, Scored)
-        assert np.isnan(outcome.score)
+            stats = engine.stats()
+        assert isinstance(outcome, Failed)
+        assert "non-finite" in outcome.error
+        assert (stats["failed"], stats["scored"]) == (1, 0)
 
     def test_breaker_stats_surface_in_engine_stats(self):
         from repro.reliability import BreakerConfig

@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.serving import (
     PipelineScorer,
     QosPolicy,
     RateLimit,
+    Scorer,
     ServingClient,
     ServingEngine,
     ServingServer,
@@ -145,9 +147,9 @@ class TestServer:
             engine.close()
 
 
-class _TinyScorer:
-    replicas = 1
+class _TinyScorer(Scorer):
     image_shape = (4, 4)
+    dtype = np.dtype("float64")
 
     def score_batch(self, frames):
         n = len(frames)
@@ -209,6 +211,47 @@ class TestQosOverTheWire:
     def test_score_strict_returns_ok_reply(self, qos_served):
         reply = qos_served.score_strict(np.zeros((4, 4)), priority="critical")
         assert reply["status"] == "ok"
+
+
+class TestServerRobustness:
+    def test_malformed_bodies_get_error_replies(self, monkeypatch):
+        """Well-framed bodies that are not UTF-8 JSON objects (including
+        nesting too deep to decode) each get an ``error`` reply; the
+        connection and its handler thread survive."""
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        engine = ServingEngine(_TinyScorer())
+        try:
+            with ServingServer(engine) as server:
+                with socket.create_connection(server.address, timeout=30.0) as sock:
+                    too_deep = b"[" * 100_000 + b"]" * 100_000
+                    for body in (b"\xff\xfe", b"[1,2]", b"{not json", too_deep):
+                        sock.sendall(struct.pack(">I", len(body)) + body)
+                        reply = recv_message(sock)
+                        assert reply["id"] is None
+                        assert reply["status"] == "error"
+                    frame = np.zeros((4, 4)).tolist()
+                    send_message(sock, {"op": "score", "id": 4, "frame": frame})
+                    reply = recv_message(sock)
+                    assert (reply["id"], reply["status"]) == (4, "ok")
+        finally:
+            engine.close()
+        assert thread_errors == []
+
+    def test_close_wakes_the_accept_thread(self):
+        engine = ServingEngine(_TinyScorer())
+        try:
+            server = ServingServer(engine).start()
+            # One served connection: the accept thread is back in accept().
+            with ServingClient(*server.address) as client:
+                assert client.ping()
+            started = time.monotonic()
+            server.close()
+            elapsed = time.monotonic() - started
+        finally:
+            engine.close()
+        assert elapsed < 0.5
+        assert not server._accept_thread.is_alive()
 
 
 def _canned_server(frames):
