@@ -13,7 +13,13 @@ Backpressure is explicit: a full queue resolves the request to a typed
 :class:`~repro.serving.results.Overloaded` outcome at submit time; an
 admitted request whose deadline lapses while queued resolves to
 :class:`~repro.serving.results.DeadlineExceeded` without being scored.
+A frame with a NaN or infinite pixel is refused at submit time
+(:class:`~repro.serving.results.Rejected`, reason ``non_finite_frame``).
 The engine never queues unboundedly and never blocks a producer.
+
+Every request leaves through one exit, :meth:`ServingEngine._finish`,
+which counts its outcome, journals it, resolves its future and records
+its ``serving.request`` root span, in that order.
 
 Every batch is scored through one guarded path.  Non-finite scores are
 a backend failure, not an answer: the engine never delivers them as
@@ -39,16 +45,16 @@ gauges, ``serving.batch_size`` and ``serving.request_latency`` histograms,
 Tracing: :meth:`ServingEngine.submit` roots a
 :class:`~repro.telemetry.TraceContext` per admitted request (or adopts one
 the TCP frontend already rooted) and carries it on the
-:class:`QueuedRequest` through the batcher.  The dispatch loop emits the
-request's ``serving.queue`` wait and its ``serving.request`` root as
-synthetic spans, and runs the scoring pass under a ``serving.batch`` span
-parented to the *first* live request's trace (the batch owner); the other
-requests of the batch link to it via a ``batch_trace`` attribute.  Spans
-the backend opens during scoring (pipeline, worker, kernels) inherit the
-batch span's context ambiently, so ``repro trace <id>`` reconstructs the
-whole path.  Scores additionally feed the ``monitor.score_window`` sliding
-histogram, the live score-distribution series the ``/metrics`` endpoint
-exposes.
+:class:`QueuedRequest` through the batcher.  Every outcome records the
+request's ``serving.request`` root as a synthetic span.  The dispatch loop
+emits the request's ``serving.queue`` wait, and runs the scoring pass
+under a ``serving.batch`` span parented to the *first* live request's
+trace (the batch owner); the other requests of the batch link to it via a
+``batch_trace`` attribute.  Spans the backend opens during scoring
+(pipeline, worker, kernels) inherit the batch span's context ambiently, so
+``repro trace <id>`` reconstructs the whole path.  Scores additionally
+feed the ``monitor.score_window`` sliding histogram, the live
+score-distribution series the ``/metrics`` endpoint exposes.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from repro.nn.backend.policy import as_tensor
 from repro.novelty.framework import SaliencyNoveltyPipeline
 from repro.reliability.breaker import BreakerConfig, CircuitBreaker
 from repro.reliability.retry import RetryPolicy, call_with_retry
-from repro.serving.admission import AdmissionController, WeightedClassBatcher
+from repro.serving.admission import AdmissionController, AdmissionDecision, WeightedClassBatcher
 from repro.serving.batcher import MicroBatcher, QueuedRequest
 from repro.serving.qos import QosPolicy
 from repro.serving.results import (
@@ -86,13 +92,33 @@ from repro.serving.results import (
     Scored,
     Scorer,
 )
-from repro.telemetry import TraceContext, get_telemetry
+from repro.telemetry import TraceContext, WindowHistogram, get_telemetry
 from repro.utils.timer import percentile
 
 _UNSET = object()
 
 #: Fail-safe policies for unscorable requests (see :class:`EngineConfig`).
 FAIL_SAFE_POLICIES = ("fail", "novel")
+
+#: Per outcome type: the ``stats()`` count it raises and the ``outcome``
+#: attribute of its ``serving.request`` span.
+_OUTCOMES = {
+    Scored: ("scored", "scored"),
+    Rejected: ("rejected_admission", "rejected"),
+    Overloaded: ("rejected", "overloaded"),
+    DeadlineExceeded: ("deadline_exceeded", "deadline_exceeded"),
+    Failed: ("failed", "failed"),
+    Degraded: ("degraded", "degraded"),
+}
+
+#: Scored requests whose latencies ``stats()["latency_ms"]`` summarizes.
+_LATENCY_WINDOW = 1024
+
+#: Admission without a QoS policy, and the refusal of a frame with a NaN or
+#: infinite pixel (the label the stream monitor's frame sanitizer uses).
+_ADMITTED = AdmissionDecision(admitted=True)
+_NON_FINITE = AdmissionDecision(admitted=False, reason="non_finite_frame")
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -259,6 +285,10 @@ class ServingEngine:
 
     The engine starts its dispatch threads immediately and is usable as a
     context manager; :meth:`close` drains and fails whatever is in flight.
+
+    Every submitted request resolves exactly once, through :meth:`_finish`,
+    and the engine keeps nothing per request after that: ``stats()``
+    summarizes the latencies of the last 1024 scored requests only.
     """
 
     def __init__(
@@ -315,7 +345,7 @@ class ServingEngine:
             "batches": 0,
             "reloads": 0,
         }
-        self._latencies: List[float] = []
+        self._latency = WindowHistogram("serving.latency", maxlen=_LATENCY_WINDOW)
         self._last_trace_id: Optional[str] = None
         self._shadow: Optional[Any] = None
         self._ledger: Optional[Any] = None
@@ -342,10 +372,11 @@ class ServingEngine:
     ) -> PendingResult:
         """Admit one frame; returns a future resolving to a typed outcome.
 
-        Never blocks: when admission control refuses the request (rate
-        limit, concurrency limit, deadline shedding) the future is already
-        resolved to :class:`Rejected` on return; when the bounded queue is
-        full, to :class:`Overloaded`.  ``deadline_ms`` overrides the
+        Never blocks: when the frame holds a NaN or infinite pixel, or
+        admission control refuses the request (rate limit, concurrency
+        limit, deadline shedding), the future is already resolved to
+        :class:`Rejected` on return; when the bounded queue is full, to
+        :class:`Overloaded`.  ``deadline_ms`` overrides the
         class/config default (``None`` = no deadline).  ``client_id``
         names the caller for per-client quotas and ``qos_class`` picks a
         priority class (both ignored without a configured
@@ -392,11 +423,16 @@ class ServingEngine:
         )
         telem.counter("serving.requests").inc()
         with self._stats_lock:
-            self._counts["submitted"] += 1
+            # In flight from here until _finish counts its outcome.
             in_flight = self._in_flight
+            self._counts["submitted"] += 1
+            self._in_flight += 1
             if trace is not None:
                 self._last_trace_id = trace.trace_id
-        if admission is not None:
+        decision = _ADMITTED
+        if not np.isfinite(frame).all():
+            decision = _NON_FINITE
+        elif admission is not None:
             decision = admission.admit(
                 client_id=client_id,
                 qos_class=qos_class,
@@ -404,44 +440,24 @@ class ServingEngine:
                 queue_depth=len(self._batcher),
                 in_flight=in_flight,
             )
-            if not decision.admitted:
-                outcome: RequestOutcome = Rejected(
-                    reason=decision.reason or "rejected",
-                    qos_class=qos_class,
-                    client_id=client_id,
-                    retry_after_ms=decision.retry_after_ms,
-                )
-                self._resolve_ledger(request, outcome.status)
-                pending.resolve(outcome)
-                telem.counter(f"serving.admission.rejected.{outcome.reason}").inc()
-                if trace is not None:
-                    telem.add_span(
-                        "serving.request",
-                        0.0,
-                        context=trace,
-                        outcome="rejected",
-                        reason=outcome.reason,
-                        qos_class=qos_class,
-                    )
-                with self._stats_lock:
-                    self._counts["rejected_admission"] += 1
-                return pending
-            telem.counter(f"serving.admission.admitted.{qos_class}").inc()
-        if self._batcher.offer(request):
-            with self._stats_lock:
-                self._in_flight += 1
-        else:
-            depth = len(self._batcher)
-            outcome = Overloaded(queue_depth=depth, capacity=self._batcher.capacity)
-            self._resolve_ledger(request, outcome.status)
-            pending.resolve(outcome)
+            if decision.admitted:
+                telem.counter(f"serving.admission.admitted.{qos_class}").inc()
+        if not decision.admitted:
+            reason = decision.reason or "rejected"
+            telem.counter(f"serving.admission.rejected.{reason}").inc()
+            rejected = Rejected(
+                reason=reason,
+                qos_class=qos_class,
+                client_id=client_id,
+                retry_after_ms=decision.retry_after_ms,
+            )
+            self._finish(request, rejected, telem, 0.0, reason=reason, qos_class=qos_class)
+        elif not self._batcher.offer(request):
             telem.counter("serving.rejected").inc()
-            if trace is not None:
-                telem.add_span(
-                    "serving.request", 0.0, context=trace, outcome="overloaded"
-                )
-            with self._stats_lock:
-                self._counts["rejected"] += 1
+            overloaded = Overloaded(
+                queue_depth=len(self._batcher), capacity=self._batcher.capacity
+            )
+            self._finish(request, overloaded, telem, 0.0)
         telem.gauge("serving.queue_depth").set(len(self._batcher))
         return pending
 
@@ -499,18 +515,27 @@ class ServingEngine:
             self.breaker.record_success()
         return verdicts, retries
 
-    def _resolve_ledger(self, request: QueuedRequest, status: str) -> None:
-        """Record a request's typed outcome in the durable ledger.
-
-        Called *before* the caller-visible ``pending.resolve`` so the
-        on-disk resolve record exists by the time anyone can observe the
-        outcome — a crash can leave an extra unresolved admit (reported
-        as failed, conservative) but never a resolved request whose
-        journal still calls it in-flight.
-        """
+    def _finish(
+        self, request: QueuedRequest, outcome: RequestOutcome, telem, duration: float, **attrs
+    ) -> None:
+        """The one exit of every submitted request, in this order: count the
+        outcome in ``stats()``, journal it in the ledger, resolve the future,
+        record the ``serving.request`` root span.  So no caller sees an
+        outcome before ``stats()`` counts it and the journal records it (a
+        crash may leave an extra unresolved admit, never a resolved request
+        the journal still calls in flight)."""
+        key, name = _OUTCOMES[type(outcome)]
+        with self._stats_lock:
+            self._counts[key] += 1
+            self._in_flight -= 1
         ledger = self._ledger
         if ledger is not None and request.ledger_id is not None:
-            ledger.resolve(request.ledger_id, status)
+            ledger.resolve(request.ledger_id, outcome.status)
+        request.pending.resolve(outcome)
+        if request.trace is not None:
+            telem.add_span(
+                "serving.request", duration, context=request.trace, outcome=name, **attrs
+            )
 
     def attach_ledger(self, ledger: Optional[Any]) -> None:
         """Attach (or with ``None`` detach) a durable request ledger.
@@ -530,17 +555,11 @@ class ServingEngine:
             outcome: RequestOutcome = Degraded(
                 reason=reason, is_novel=True, policy="novel"
             )
-            key = "degraded"
             telem.counter("serving.degraded").inc(len(live))
         else:
             outcome = Failed(error=reason)
-            key = "failed"
         for request in live:
-            self._resolve_ledger(request, outcome.status)
-            request.pending.resolve(outcome)
-        with self._stats_lock:
-            self._counts[key] += len(live)
-            self._in_flight -= len(live)
+            self._finish(request, outcome, telem, time.monotonic() - request.enqueued_at)
 
     def _publish_breaker_state(self, telem) -> None:
         if self.breaker is not None:
@@ -571,20 +590,9 @@ class ServingEngine:
                     waited = now - request.enqueued_at
                     allowed = request.deadline_at - request.enqueued_at
                     expired = DeadlineExceeded(waited_s=waited, deadline_s=allowed)
-                    self._resolve_ledger(request, expired.status)
-                    request.pending.resolve(expired)
                     expired_any = True
                     telem.counter("serving.deadline_exceeded").inc()
-                    if request.trace is not None:
-                        telem.add_span(
-                            "serving.request",
-                            waited,
-                            context=request.trace,
-                            outcome="deadline_exceeded",
-                        )
-                    with self._stats_lock:
-                        self._counts["deadline_exceeded"] += 1
-                        self._in_flight -= 1
+                    self._finish(request, expired, telem, waited)
                 else:
                     live.append(request)
             if expired_any and self.admission is not None:
@@ -632,11 +640,19 @@ class ServingEngine:
                 self._publish_admission_state(telem)
             if retries:
                 telem.counter("serving.retries").inc(retries)
-                with self._stats_lock:
-                    self._counts["retries"] += retries
             done = time.monotonic()
-            model_version = verdicts.model_version
-            resolved: List[Tuple[np.ndarray, Scored]] = []
+            outcomes = [
+                Scored(
+                    score=float(verdicts.scores[i]),
+                    is_novel=bool(verdicts.is_novel[i]),
+                    margin=float(verdicts.margins[i]),
+                    batch_size=len(live),
+                    latency_s=done - request.enqueued_at,
+                    retries=retries,
+                    model_version=verdicts.model_version,
+                )
+                for i, request in enumerate(live)
+            ]
             latency_histogram = telem.histogram("serving.request_latency")
             score_window = telem.window_histogram("monitor.score_window")
             # The stats lock also serializes metric updates across dispatch
@@ -645,46 +661,25 @@ class ServingEngine:
                 telem.counter("serving.batches").inc()
                 telem.histogram("serving.batch_size").observe(len(live))
                 self._counts["batches"] += 1
-                self._counts["scored"] += len(live)
-                self._in_flight -= len(live)
-                for i, request in enumerate(live):
-                    latency = done - request.enqueued_at
-                    self._latencies.append(latency)
-                    latency_histogram.observe(latency)
-                    score = float(verdicts.scores[i])
-                    is_novel = bool(verdicts.is_novel[i])
-                    score_window.observe(score)
-                    if is_novel:
+                self._counts["retries"] += retries
+                for outcome in outcomes:
+                    self._latency.observe(outcome.latency_s)
+                    latency_histogram.observe(outcome.latency_s)
+                    score_window.observe(outcome.score)
+                    if outcome.is_novel:
                         telem.counter("monitor.novel_verdicts").inc()
-                    if request.trace is not None:
-                        attrs = {"outcome": "scored", "batch_size": len(live)}
-                        if owner is not None and request.trace is not owner:
-                            attrs["batch_trace"] = owner.trace_id
-                        telem.add_span(
-                            "serving.request",
-                            latency,
-                            context=request.trace,
-                            **attrs,
-                        )
-                    outcome = Scored(
-                        score=score,
-                        is_novel=is_novel,
-                        margin=float(verdicts.margins[i]),
-                        batch_size=len(live),
-                        latency_s=latency,
-                        retries=retries,
-                        model_version=model_version,
-                    )
-                    self._resolve_ledger(request, outcome.status)
-                    request.pending.resolve(outcome)
-                    resolved.append((request.frame, outcome))
+            for request, outcome in zip(live, outcomes):
+                attrs = {"batch_size": len(live)}
+                if owner is not None and request.trace is not owner:
+                    attrs["batch_trace"] = owner.trace_id
+                self._finish(request, outcome, telem, outcome.latency_s, **attrs)
             # Shadow mirroring happens outside the stats lock: offer() is a
             # sampled non-blocking enqueue that never raises and never
             # affects the already-resolved responses.
             shadow = self._shadow
             if shadow is not None:
-                for frame, outcome in resolved:
-                    shadow.offer(frame, outcome)
+                for request, outcome in zip(live, outcomes):
+                    shadow.offer(request.frame, outcome)
 
     # -- lifecycle: hot-swap and rollout hooks ---------------------------
     def reload(self, target: Any, model_version: Optional[str] = None) -> None:
@@ -744,6 +739,9 @@ class ServingEngine:
     def stats(self) -> Dict[str, Any]:
         """Counts plus end-to-end latency percentiles (milliseconds).
 
+        ``latency_ms`` covers the last 1024 scored requests; its ``count``
+        is the lifetime number of scored requests.
+
         Includes the loaded model's identity — ``model_version`` (registry
         version or bundle hash, when the scorer has one) and ``dtype`` —
         so operators can tell *what* is serving, not just the
@@ -751,7 +749,8 @@ class ServingEngine:
         """
         with self._stats_lock:
             counts = dict(self._counts)
-            latencies = list(self._latencies)
+            latencies = list(self._latency.window)
+            scored_ever = self._latency.observed
             last_trace_id = self._last_trace_id
             in_flight = self._in_flight
         summary: Dict[str, Any] = dict(counts)
@@ -773,9 +772,10 @@ class ServingEngine:
         if ledger is not None:
             summary["ledger"] = ledger.stats()
         # percentile() is NaN on empty input; stats() feeds wire JSON, so
-        # quote 0.0 for "no data" instead.
+        # quote 0.0 for "no data" instead.  The count is a lifetime count;
+        # the figures cover the last _LATENCY_WINDOW scored requests.
         summary["latency_ms"] = {
-            "count": len(latencies),
+            "count": scored_ever,
             "mean": float(np.mean(latencies) * 1e3) if latencies else 0.0,
             "p50": percentile(latencies, 50.0) * 1e3 if latencies else 0.0,
             "p95": percentile(latencies, 95.0) * 1e3 if latencies else 0.0,
@@ -795,12 +795,10 @@ class ServingEngine:
         leftovers = self._batcher.close()
         for thread in self._threads:
             thread.join(timeout=10.0)
+        closed = Failed(error="engine closed")
+        telem = get_telemetry()
         for request in leftovers:
-            closed = Failed(error="engine closed")
-            self._resolve_ledger(request, closed.status)
-            request.pending.resolve(closed)
-        with self._stats_lock:
-            self._in_flight -= len(leftovers)
+            self._finish(request, closed, telem, time.monotonic() - request.enqueued_at)
         self.scorer.close()
 
     def __enter__(self) -> "ServingEngine":

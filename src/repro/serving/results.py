@@ -6,9 +6,10 @@ to exactly one of six outcome types — admission control and failures are
 without a try/except ladder:
 
 * :class:`Scored` — the frame was scored; carries the verdict and latency.
-* :class:`Rejected` — refused by admission policy (rate limit, adaptive
-  concurrency limit, or deadline-aware shedding) before entering the
-  queue; carries a machine-readable reason and is never retried.
+* :class:`Rejected` — refused before entering the queue, by admission
+  policy (rate limit, adaptive concurrency limit, or deadline-aware
+  shedding) or because the frame holds a NaN or infinite pixel; carries a
+  machine-readable reason and is never retried.
 * :class:`Overloaded` — rejected at admission because the bounded request
   queue was full (backpressure; the engine never queues unboundedly).
 * :class:`DeadlineExceeded` — admitted, but its deadline passed while it
@@ -73,21 +74,24 @@ class Scored:
 
 @dataclass(frozen=True)
 class Rejected:
-    """Refused by admission policy before any work was queued.
+    """Refused at submit time, before any work was queued.
 
     Unlike :class:`Overloaded` (a full queue — transient backpressure),
-    a ``Rejected`` outcome is a *policy* decision: the client exceeded
-    its quota, the adaptive concurrency limit is shedding load, or the
-    request's deadline cannot be met by the current queue.  Rejections
-    are cheap by construction (no frame ever enters the queue) and are
-    deliberately not retried by the engine's reliability machinery —
-    retrying against the same overloaded node is exactly the behavior
-    admission control exists to prevent.
+    a ``Rejected`` outcome is a decision about the request itself: the
+    frame holds a NaN or infinite pixel (checked on every engine), or,
+    under a QoS policy, the client exceeded its quota, the adaptive
+    concurrency limit is shedding load, or the request's deadline cannot
+    be met by the current queue.  Rejections are cheap by construction
+    (no frame ever enters the queue) and are deliberately not retried by
+    the engine's reliability machinery — retrying against the same
+    overloaded node is exactly the behavior admission control exists to
+    prevent, and a corrupt frame stays corrupt.
 
     Attributes
     ----------
     reason:
-        Machine-readable cause, one of
+        Machine-readable cause: ``"non_finite_frame"`` (the label the
+        stream monitor's frame sanitizer uses), or one of
         :data:`~repro.serving.admission.REJECTION_REASONS`
         (``"rate_limited"`` / ``"concurrency_limit"`` /
         ``"deadline_unmeetable"``).

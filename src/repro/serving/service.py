@@ -16,10 +16,12 @@ UTF-8 JSON.  Requests carry an ``op``:
 meaningful against an engine configured with a QoS policy.  Score
 responses mirror the engine's typed outcomes via a ``status`` field:
 ``"ok"`` (with ``score`` / ``is_novel`` / ``margin`` / ``batch_size`` /
-``latency_ms``), ``"rejected"`` (admission control; with ``reason``,
-``qos_class`` and optionally ``retry_after_ms``), ``"overloaded"`` (with
-``queue_depth`` / ``capacity``), ``"deadline_exceeded"``, ``"failed"``,
-or ``"error"`` for malformed requests.  The request's ``id`` is echoed
+``latency_ms``), ``"rejected"`` (admission control, or a frame with a
+NaN or infinite pixel; with ``reason``, ``qos_class`` and optionally
+``retry_after_ms``), ``"overloaded"`` (with ``queue_depth`` /
+``capacity``), ``"deadline_exceeded"``, ``"failed"`` (also the reply to
+a request still unresolved after the server's ``request_timeout_s``), or
+``"error"`` for malformed requests.  The request's ``id`` is echoed
 back verbatim.  A message whose body is not a UTF-8 JSON object gets an
 ``"error"`` reply with ``"id": null`` and the connection stays open; a
 broken frame (EOF mid-message, an oversize length) closes it.
@@ -196,6 +198,15 @@ class ServingServer:
                     return
 
     def _respond(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """The one reply to one well-framed request.
+
+        A score request runs under a ``serving.frontend`` span on whichever
+        telemetry backend is active, and its reply carries ``trace_id``
+        only when that backend traced it.  A request still unresolved
+        after ``request_timeout_s`` gets a ``failed`` reply and the
+        connection keeps serving; the engine still resolves and counts it
+        once its batch finishes.
+        """
         request_id = request.get("id")
         op = request.get("op")
         if op == "ping":
@@ -207,7 +218,6 @@ class ServingServer:
             return response
         if op != "score":
             return {"id": request_id, "status": "error", "error": f"unknown op {op!r}"}
-        telem = get_telemetry()
         # Adopt a trace context the client propagated over the wire, or
         # root a fresh trace at this frontend hop.
         trace_arg: Any = "new"
@@ -225,23 +235,23 @@ class ServingServer:
                 deadline_kwargs["client_id"] = str(request["client"])
             if request.get("priority") is not None:
                 deadline_kwargs["qos_class"] = str(request["priority"])
-            if telem.enabled:
-                with telem.span("serving.frontend", trace=trace_arg) as span:
-                    request_trace = span.context.child()
-                    pending = self.engine.submit(
-                        frame, trace=request_trace, **deadline_kwargs
-                    )
+            with get_telemetry().span("serving.frontend", trace=trace_arg) as span:
+                trace = None if span.context is None else span.context.child()
+                pending = self.engine.submit(frame, trace=trace, **deadline_kwargs)
+                try:
                     outcome = pending.result(self.request_timeout_s)
-                response = _serialize_outcome(request_id, outcome)
-                response["trace_id"] = request_trace.trace_id
-                return response
-            pending = self.engine.submit(frame, **deadline_kwargs)
+                except ServingError as exc:
+                    # Timed out here; the engine still resolves and counts
+                    # the request when its batch finishes.
+                    outcome = Failed(error=str(exc))
         except KeyError:
             return {"id": request_id, "status": "error", "error": "score requires 'frame'"}
         except (ConfigurationError, ShapeError, TypeError, ValueError) as exc:
             return {"id": request_id, "status": "error", "error": str(exc)}
-        outcome = pending.result(self.request_timeout_s)
-        return _serialize_outcome(request_id, outcome)
+        response = _serialize_outcome(request_id, outcome)
+        if trace is not None:
+            response["trace_id"] = trace.trace_id
+        return response
 
     def close(self) -> None:
         """Stop accepting; established connections close as clients leave."""

@@ -43,6 +43,9 @@ class _NullSpan:
 
     __slots__ = ()
 
+    #: Untraced: no trace context to hand on (a live span's own context).
+    context = None
+
     def __enter__(self) -> "_NullSpan":
         return self
 

@@ -6,8 +6,11 @@ records the parent name and depth — so a trace of one monitored frame reads
 as a tree: ``monitor.frame`` containing ``pipeline.score`` containing
 ``vbp.forward`` and ``one_class.score``.
 
-The tracer is process-local and single-threaded, like everything else in
-this library; it keeps an explicit stack rather than thread-locals.
+The tracer is process-local and keeps one open-span stack per thread, so
+spans opened concurrently on different threads (socket handlers, dispatch
+threads) nest only under their own thread's spans.  It keeps no finished
+records: each one goes to the ``on_finish`` callback (the telemetry
+runtime's sinks) and is then dropped.
 
 Spans can additionally be *trace-linked* (see :mod:`repro.telemetry.trace`):
 ``span(name, trace=ctx)`` parents the span under an explicit
@@ -22,6 +25,8 @@ be a lexical ``with`` block (queue wait measured across threads).
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Union
@@ -44,9 +49,10 @@ class SpanRecord:
     duration:
         Wall-clock seconds spent inside the span (includes children).
     parent:
-        Name of the enclosing span, or ``None`` at top level.
+        Name of the enclosing span on the same thread, or ``None`` at top
+        level.
     depth:
-        Nesting depth (0 = top level).
+        Nesting depth on the recording thread (0 = top level).
     attributes:
         Key/value pairs attached at entry (plus ``error=True`` when the
         span exited via an exception).
@@ -101,7 +107,7 @@ class _ActiveSpan:
         self._scope = None
 
     def __enter__(self) -> "_ActiveSpan":
-        stack = self._tracer._stack
+        stack = self._tracer._stacks.spans
         self.parent = stack[-1].name if stack else None
         self.depth = len(stack)
         stack.append(self)
@@ -122,7 +128,7 @@ class _ActiveSpan:
         if self._scope is not None:
             self._scope.__exit__(exc_type, exc, tb)
             self._scope = None
-        stack = self._tracer._stack
+        stack = self._tracer._stacks.spans
         # Tolerate out-of-order exits (generators, test teardown): pop back
         # to this span instead of corrupting the stack.
         while stack and stack[-1] is not self:
@@ -135,6 +141,13 @@ class _ActiveSpan:
         return False
 
 
+class _ThreadStacks(threading.local):
+    """The open spans of the calling thread, innermost last."""
+
+    def __init__(self) -> None:
+        self.spans: List[_ActiveSpan] = []
+
+
 class Tracer:
     """Creates nested spans and hands finished records to a callback.
 
@@ -143,28 +156,21 @@ class Tracer:
     on_finish:
         Called with each :class:`SpanRecord` as the span exits (the
         telemetry runtime uses this to feed sinks and latency histograms).
-    keep_records:
-        Also retain finished records on :attr:`records` for in-process
-        inspection.  Tests use this; long-lived sessions that only export
-        to a sink can turn it off.
+        The tracer keeps nothing itself; to inspect records in-process,
+        collect them here (``Tracer(on_finish=records.append)``) or attach
+        a :class:`~repro.telemetry.sink.MemorySink` to the session.
     """
 
-    def __init__(
-        self,
-        on_finish: Optional[Callable[[SpanRecord], None]] = None,
-        keep_records: bool = True,
-    ) -> None:
-        self._stack: List[_ActiveSpan] = []
+    def __init__(self, on_finish: Optional[Callable[[SpanRecord], None]] = None) -> None:
+        self._stacks = _ThreadStacks()
         self._on_finish = on_finish
-        self._keep_records = bool(keep_records)
         self._epoch = time.perf_counter()
-        self._count = 0
-        self.records: List[SpanRecord] = []
+        self._indices = itertools.count()
 
     @property
     def depth(self) -> int:
-        """Current nesting depth (0 when no span is open)."""
-        return len(self._stack)
+        """The calling thread's nesting depth (0 when it has no open span)."""
+        return len(self._stacks.spans)
 
     def span(
         self,
@@ -207,7 +213,7 @@ class Tracer:
         finished = self.now() if end is None else end
         record = SpanRecord(
             name=name,
-            index=self._count,
+            index=next(self._indices),
             start=finished - duration,
             duration=duration,
             parent=None,
@@ -217,9 +223,6 @@ class Tracer:
             span_id=None if context is None else context.span_id,
             parent_span_id=None if context is None else context.parent_id,
         )
-        self._count += 1
-        if self._keep_records:
-            self.records.append(record)
         if self._on_finish is not None:
             self._on_finish(record)
         return record
@@ -228,7 +231,7 @@ class Tracer:
         context = span.context
         record = SpanRecord(
             name=span.name,
-            index=self._count,
+            index=next(self._indices),
             start=span._start - self._epoch,
             duration=duration,
             parent=span.parent,
@@ -238,8 +241,5 @@ class Tracer:
             span_id=None if context is None else context.span_id,
             parent_span_id=None if context is None else context.parent_id,
         )
-        self._count += 1
-        if self._keep_records:
-            self.records.append(record)
         if self._on_finish is not None:
             self._on_finish(record)

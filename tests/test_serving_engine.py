@@ -1,6 +1,8 @@
 """Tests for the serving engine: admission, batching, deadlines, outcomes."""
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,10 +16,14 @@ from repro.serving import (
     Failed,
     Overloaded,
     PipelineScorer,
+    QosPolicy,
+    RateLimit,
+    Rejected,
     Scored,
     Scorer,
     ServingEngine,
 )
+from repro.telemetry import MemorySink, TraceContext, telemetry_session
 
 FRAME_SHAPE = (4, 4)
 
@@ -30,10 +36,12 @@ class _BlockingScorer(Scorer):
     dtype = np.dtype("float64")
 
     def __init__(self):
+        self.entered = threading.Event()
         self.release = threading.Event()
         self.batches = []
 
     def score_batch(self, frames):
+        self.entered.set()
         self.release.wait(timeout=30.0)
         self.batches.append(len(frames))
         n = len(frames)
@@ -377,3 +385,235 @@ class TestReliability:
         assert payload["status"] == "degraded"
         assert payload["is_novel"] is True
         assert payload["id"] == 7
+
+
+class _ZeroScorer(Scorer):
+    """Scores every frame 0.0 (not novel) and counts the frames it saw."""
+
+    image_shape = FRAME_SHAPE
+    dtype = np.dtype("float64")
+
+    def __init__(self):
+        self.frames_seen = 0
+
+    def score_batch(self, frames):
+        n = len(frames)
+        self.frames_seen += n
+        return BatchVerdicts(
+            scores=np.zeros(n), is_novel=np.zeros(n, dtype=bool), margins=np.zeros(n)
+        )
+
+
+def _scored(ctx):
+    engine = ServingEngine(_ZeroScorer())
+    try:
+        return engine.submit(_frame(), trace=ctx).result(10.0), 1
+    finally:
+        engine.close()
+
+
+def _rate_limited(ctx):
+    policy = QosPolicy(client_rate_limits={"greedy": RateLimit(rate_per_s=0.5, burst=1)})
+    engine = ServingEngine(_ZeroScorer(), EngineConfig(qos=policy))
+    try:
+        engine.infer(_frame(), client_id="greedy")
+        return engine.submit(_frame(), trace=ctx, client_id="greedy").result(10.0), 2
+    finally:
+        engine.close()
+
+
+def _overloaded(ctx):
+    scorer = _BlockingScorer()
+    config = EngineConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=1)
+    engine = ServingEngine(scorer, config)
+    try:
+        engine.submit(_frame())
+        assert scorer.entered.wait(10.0)
+        engine.submit(_frame())  # fills the queue
+        return engine.submit(_frame(), trace=ctx).result(10.0), 3
+    finally:
+        scorer.release.set()
+        engine.close()
+
+
+def _deadline_exceeded(ctx):
+    scorer = _BlockingScorer()
+    engine = ServingEngine(scorer, EngineConfig(max_batch_size=1, max_wait_ms=0.0))
+    try:
+        engine.submit(_frame())
+        assert scorer.entered.wait(10.0)
+        pending = engine.submit(_frame(), trace=ctx, deadline_ms=1.0)
+        time.sleep(0.05)
+        scorer.release.set()
+        return pending.result(10.0), 2
+    finally:
+        scorer.release.set()
+        engine.close()
+
+
+def _failed(ctx):
+    engine = ServingEngine(_RaisingScorer())
+    try:
+        return engine.submit(_frame(), trace=ctx).result(10.0), 1
+    finally:
+        engine.close()
+
+
+def _degraded(ctx):
+    engine = ServingEngine(_RaisingScorer(), EngineConfig(fail_safe="novel"))
+    try:
+        return engine.submit(_frame(), trace=ctx).result(10.0), 1
+    finally:
+        engine.close()
+
+
+def _closed(ctx):
+    """A request still queued when the engine closes."""
+    scorer = _BlockingScorer()
+    engine = ServingEngine(scorer, EngineConfig(max_batch_size=1, max_wait_ms=0.0))
+    engine.submit(_frame())
+    assert scorer.entered.wait(10.0)
+    pending = engine.submit(_frame(), trace=ctx)
+    closer = threading.Thread(target=engine.close)
+    closer.start()
+    deadline = time.monotonic() + 10.0
+    while not engine._batcher.closed and time.monotonic() < deadline:
+        time.sleep(0.001)
+    scorer.release.set()
+    closer.join(10.0)
+    assert not closer.is_alive()
+    return pending.result(10.0), 2
+
+
+class TestOneExit:
+    """Every request leaves through ServingEngine._finish: exactly one
+    ``serving.request`` root span per outcome, counted before it is seen."""
+
+    @pytest.mark.parametrize(
+        "scenario, outcome_type, name",
+        [
+            (_scored, Scored, "scored"),
+            (_rate_limited, Rejected, "rejected"),
+            (_overloaded, Overloaded, "overloaded"),
+            (_deadline_exceeded, DeadlineExceeded, "deadline_exceeded"),
+            (_failed, Failed, "failed"),
+            (_degraded, Degraded, "degraded"),
+            (_closed, Failed, "failed"),
+        ],
+        ids=["scored", "rejected", "overloaded", "deadline_exceeded", "failed",
+             "degraded", "engine_closed"],
+    )
+    def test_each_outcome_records_one_root_span(self, scenario, outcome_type, name):
+        ctx = TraceContext.new_root()
+        with telemetry_session() as telem:
+            sink = MemorySink()
+            telem.add_sink(sink)
+            outcome, submitted = scenario(ctx)
+        assert isinstance(outcome, outcome_type)
+        roots = [
+            r for r in sink.records
+            if r["type"] == "span" and r["name"] == "serving.request"
+        ]
+        # One root per submitted request, and this request's root is its own.
+        assert len(roots) == submitted
+        (mine,) = [r for r in roots if r["trace_id"] == ctx.trace_id]
+        assert mine["span_id"] == ctx.span_id
+        assert mine["attrs"]["outcome"] == name
+
+    def test_engine_closed_is_counted_as_failed(self):
+        with telemetry_session():
+            outcome, _ = _closed(TraceContext.new_root())
+        assert outcome == Failed(error="engine closed")
+
+    def test_counts_balance_on_every_stats_read(self):
+        """Threads submit requests with mixed outcomes while another reads
+        stats(): submitted always equals in_flight plus the outcome counts."""
+
+        class Poisonable(_ZeroScorer):
+            def score_batch(self, frames):
+                time.sleep(0.001)
+                if (frames[:, 0, 0] == 2.0).any():
+                    raise RuntimeError("poisoned batch")
+                return super().score_batch(frames)
+
+        keys = ("scored", "rejected", "rejected_admission", "deadline_exceeded",
+                "failed", "degraded")
+        config = EngineConfig(
+            max_batch_size=4, max_wait_ms=0.5, queue_capacity=6,
+            qos=QosPolicy(shed_deadlines=False, aimd=None),
+        )
+        engine = ServingEngine(Poisonable(), config)
+        done = threading.Event()
+        reads, problems = [], []
+
+        def read_stats():
+            while not done.is_set():
+                stats = engine.stats()
+                in_flight = stats["admission"]["in_flight"]
+                settled = sum(stats[key] for key in keys)
+                reads.append(stats["submitted"])
+                if in_flight < 0 or stats["submitted"] != in_flight + settled:
+                    problems.append((stats["submitted"], in_flight, settled))
+
+        def submit_mixed(pendings):
+            for i in range(150):
+                kind = i % 5
+                frame = _frame(2.0 if kind == 2 else 0.5)
+                if kind == 1:
+                    frame[1, 1] = np.nan
+                deadline = 0.001 if kind == 3 else None
+                pendings.append(engine.submit(frame, deadline_ms=deadline))
+
+        batches = [[] for _ in range(4)]
+        submitters = [threading.Thread(target=submit_mixed, args=(b,)) for b in batches]
+        reader = threading.Thread(target=read_stats)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            reader.start()
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(30.0)
+            outcomes = [p.result(30.0) for b in batches for p in b]
+        finally:
+            done.set()
+            reader.join(10.0)
+            sys.setswitchinterval(interval)
+            engine.close()
+        final = engine.stats()
+        assert not any(t.is_alive() for t in submitters + [reader])
+        assert problems == []
+        assert len(reads) > 1
+        assert final["submitted"] == len(outcomes) == 600
+        assert final["admission"]["in_flight"] == 0
+        assert sum(final[key] for key in keys) == 600
+        for key in ("scored", "rejected_admission", "deadline_exceeded", "failed"):
+            assert final[key] > 0, key
+
+
+class TestNonFiniteFrames:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refused_at_submit_without_scoring(self, bad):
+        scorer = _ZeroScorer()
+        frame = _frame()
+        frame[2, 3] = bad
+        with telemetry_session() as telem:
+            with ServingEngine(scorer) as engine:
+                pending = engine.submit(frame, client_id="cam-1")
+                assert pending.done()
+                outcome = pending.result(0.0)
+                stats = engine.stats()
+            rejected = telem.counter("serving.admission.rejected.non_finite_frame").value
+        assert outcome == Rejected(
+            reason="non_finite_frame", qos_class="interactive", client_id="cam-1"
+        )
+        assert (stats["submitted"], stats["rejected_admission"], stats["scored"]) == (1, 1, 0)
+        assert rejected == 1
+        assert scorer.frames_seen == 0
+
+    def test_all_nan_frame_is_not_scored_novel(self):
+        with ServingEngine(_ZeroScorer()) as engine:
+            outcome = engine.infer(np.full(FRAME_SHAPE, np.nan))
+        assert isinstance(outcome, Rejected)
+        assert outcome.reason == "non_finite_frame"

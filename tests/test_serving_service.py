@@ -212,6 +212,17 @@ class TestQosOverTheWire:
         reply = qos_served.score_strict(np.zeros((4, 4)), priority="critical")
         assert reply["status"] == "ok"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_is_rejected(self, qos_served, bad):
+        frame = np.zeros((4, 4))
+        frame[0, 1] = bad
+        reply = qos_served.score(frame, client_id="cam-1")
+        assert (reply["status"], reply["reason"]) == ("rejected", "non_finite_frame")
+        with pytest.raises(RequestRejectedError) as excinfo:
+            qos_served.score_strict(frame, client_id="cam-1")
+        assert excinfo.value.reason == "non_finite_frame"
+        assert qos_served.ping() is True
+
 
 class TestServerRobustness:
     def test_malformed_bodies_get_error_replies(self, monkeypatch):
@@ -237,6 +248,35 @@ class TestServerRobustness:
         finally:
             engine.close()
         assert thread_errors == []
+
+    def test_timeout_gets_a_failed_reply_and_the_connection_survives(
+        self, monkeypatch
+    ):
+        """A request still unresolved after request_timeout_s is answered
+        ``failed``; the handler thread lives on, and the engine still
+        resolves and counts the request."""
+
+        class Slow(_TinyScorer):
+            def score_batch(self, frames):
+                time.sleep(0.5)
+                return super().score_batch(frames)
+
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        engine = ServingEngine(Slow())
+        try:
+            with ServingServer(engine, request_timeout_s=0.1) as server:
+                with ServingClient(*server.address) as client:
+                    reply = client.score(np.zeros((4, 4)))
+                    assert reply["status"] == "failed"
+                    assert "did not resolve within 0.1 seconds" in reply["error"]
+                    assert "trace_id" not in reply
+                    assert client.ping() is True
+        finally:
+            engine.close()
+        assert thread_errors == []
+        stats = engine.stats()
+        assert (stats["submitted"], stats["scored"]) == (1, 1)
 
     def test_close_wakes_the_accept_thread(self):
         engine = ServingEngine(_TinyScorer())

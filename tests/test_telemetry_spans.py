@@ -1,5 +1,7 @@
 """Tests for span tracing, sinks, JSONL round-trips, and reports."""
 
+import threading
+
 import pytest
 
 from repro.exceptions import SerializationError
@@ -24,60 +26,103 @@ def _restore_null_backend():
 
 class TestTracer:
     def test_records_name_and_duration(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         with tracer.span("work"):
             pass
-        (rec,) = tracer.records
+        (rec,) = records
         assert rec.name == "work"
         assert rec.duration >= 0.0
         assert rec.parent is None
         assert rec.depth == 0
 
     def test_nesting_tracks_parent_and_depth(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         with tracer.span("outer"):
             with tracer.span("middle"):
                 with tracer.span("inner"):
                     pass
-        by_name = {r.name: r for r in tracer.records}
+        by_name = {r.name: r for r in records}
         assert by_name["inner"].parent == "middle" and by_name["inner"].depth == 2
         assert by_name["middle"].parent == "outer" and by_name["middle"].depth == 1
         assert by_name["outer"].parent is None and by_name["outer"].depth == 0
         assert tracer.depth == 0
 
     def test_children_finish_before_parents(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        assert [r.name for r in tracer.records] == ["inner", "outer"]
-        outer = tracer.records[1]
-        inner = tracer.records[0]
+        assert [r.name for r in records] == ["inner", "outer"]
+        outer = records[1]
+        inner = records[0]
         assert outer.duration >= inner.duration
 
     def test_attributes_attach_at_entry_and_inside(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         with tracer.span("work", frames=4) as span:
             span.attributes["extra"] = "yes"
-        (rec,) = tracer.records
+        (rec,) = records
         assert rec.attributes == {"frames": 4, "extra": "yes"}
 
     def test_exception_marks_error_and_propagates(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         with pytest.raises(RuntimeError):
             with tracer.span("failing"):
                 raise RuntimeError("boom")
-        (rec,) = tracer.records
+        (rec,) = records
         assert rec.attributes["error"] is True
         assert tracer.depth == 0
 
     def test_sequential_spans_share_no_parent(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         with tracer.span("a"):
             pass
         with tracer.span("b"):
             pass
-        assert [r.parent for r in tracer.records] == [None, None]
+        assert [r.parent for r in records] == [None, None]
+
+    def test_threads_nest_only_under_their_own_spans(self):
+        """Thread A opens a span, thread B opens one, then A opens a child:
+        each thread's spans nest under that thread's own spans only."""
+        records = []
+        tracer = Tracer(on_finish=records.append)
+        a_opened, b_opened, a_inner_done = (threading.Event() for _ in range(3))
+        depths = {}
+
+        def thread_a():
+            with tracer.span("a.outer"):
+                a_opened.set()
+                assert b_opened.wait(10.0)
+                with tracer.span("a.inner"):
+                    depths["a"] = tracer.depth
+                a_inner_done.set()
+
+        def thread_b():
+            assert a_opened.wait(10.0)
+            with tracer.span("b.outer"):
+                depths["b"] = tracer.depth
+                b_opened.set()
+                assert a_inner_done.wait(10.0)
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        by_name = {r.name: r for r in records}
+        assert set(by_name) == {"a.outer", "a.inner", "b.outer"}
+        assert (by_name["a.inner"].parent, by_name["a.inner"].depth) == ("a.outer", 1)
+        assert (by_name["b.outer"].parent, by_name["b.outer"].depth) == (None, 0)
+        assert (by_name["a.outer"].parent, by_name["a.outer"].depth) == (None, 0)
+        assert depths == {"a": 2, "b": 1}
+        assert tracer.depth == 0
 
 
 class TestTelemetrySpans:

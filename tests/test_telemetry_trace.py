@@ -86,37 +86,41 @@ class TestAmbientTrace:
 
 class TestSpanTraceLinkage:
     def test_span_outside_any_trace_is_unlinked(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         with tracer.span("work"):
             pass
-        (rec,) = tracer.records
+        (rec,) = records
         assert rec.trace_id is None and rec.span_id is None
 
     def test_trace_new_roots_a_fresh_trace(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         with tracer.span("request", trace="new") as span:
             assert span.context is not None
             assert span.context.parent_id is None
-        (rec,) = tracer.records
+        (rec,) = records
         assert rec.trace_id == span.context.trace_id
         assert rec.parent_span_id is None
 
     def test_explicit_trace_parents_a_child_span(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         ctx = TraceContext.new_root()
         with tracer.span("work", trace=ctx):
             pass
-        (rec,) = tracer.records
+        (rec,) = records
         assert rec.trace_id == ctx.trace_id
         assert rec.parent_span_id == ctx.span_id
         assert rec.span_id != ctx.span_id
 
     def test_nested_spans_inherit_ambiently_and_chain(self):
-        tracer = Tracer()
+        records = []
+        tracer = Tracer(on_finish=records.append)
         with tracer.span("outer", trace="new"):
             with tracer.span("inner"):
                 pass
-        inner, outer = tracer.records
+        inner, outer = records
         assert inner.trace_id == outer.trace_id
         assert inner.parent_span_id == outer.span_id
 
