@@ -17,8 +17,8 @@ carries one frame or eight).  That choice is load-bearing for the gates:
 with per-frame service, per-client cycle time depends on how the
 closed-loop critical clients happen to coalesce into batches, and both
 gated ratios measure phase-locking luck instead of queueing policy.
-With constant batch service, a client's cycle is ``batch window +
-service`` no matter who shares its batch, so the unloaded baseline is
+With constant batch service, a client's cycle is one batch's service
+time no matter who shares its batch, so the unloaded baseline is
 reproducible and any loaded regression is genuinely admission's fault.
 
 Capacity is quoted in worst-case (unbatched) requests/s — ``replicas /
@@ -161,7 +161,6 @@ def test_admission_protects_critical_at_2x_saturation(benchmark, report):
             _SleepScorer(),
             EngineConfig(
                 max_batch_size=MAX_BATCH,
-                max_wait_ms=1.0,
                 queue_capacity=256,
                 qos=_policy(),
             ),

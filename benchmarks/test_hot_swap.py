@@ -47,7 +47,7 @@ def test_hot_swap_latency(benchmark, bench_workbench, report):
     def _measure():
         engine = ServingEngine(
             PipelineScorer(pipeline, model_version="v1"),
-            EngineConfig(max_batch_size=8, max_wait_ms=2.0, queue_capacity=N_FRAMES),
+            EngineConfig(max_batch_size=8, queue_capacity=N_FRAMES),
         )
         try:
             engine.infer(frames[0])  # warm the dispatch path

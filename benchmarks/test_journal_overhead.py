@@ -43,7 +43,7 @@ def test_journal_overhead_under_5_percent(
 
     engine = ServingEngine(
         PipelineScorer(pipeline),
-        EngineConfig(max_batch_size=8, max_wait_ms=1.0, queue_capacity=2 * FRAMES),
+        EngineConfig(max_batch_size=8, queue_capacity=2 * FRAMES),
     )
     journal = Journal(tmp_path / "journal")
     try:

@@ -51,7 +51,7 @@ def test_serving_throughput(benchmark, bench_workbench, report):
         # engine's bounded queue, scored in coalesced batches.
         engine = ServingEngine(
             PipelineScorer(pipeline),
-            EngineConfig(max_batch_size=16, max_wait_ms=5.0, queue_capacity=N_FRAMES),
+            EngineConfig(max_batch_size=16, queue_capacity=N_FRAMES),
         )
         try:
             engine.infer(frames[0])  # warm the dispatch path
@@ -91,7 +91,7 @@ def test_serving_throughput(benchmark, bench_workbench, report):
         },
         notes=(
             f"{N_FRAMES} bench-scale frames; engine policy batch<=16, "
-            "wait 5 ms, queue sized to the burst"
+            "queue sized to the burst"
         ),
     )
     report(result)

@@ -77,7 +77,7 @@ def main() -> None:
 
         engine = ServingEngine(
             PipelineScorer(bundle.pipeline),
-            EngineConfig(max_batch_size=8, max_wait_ms=2.0, queue_capacity=64),
+            EngineConfig(max_batch_size=8, queue_capacity=64),
         )
         try:
             # A mixed stream: in-domain frames, then the unseen environment.

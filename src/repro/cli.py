@@ -310,10 +310,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--max-batch", type=int, default=8, help="micro-batch size cap")
     parser.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="how long an under-full batch waits for more frames",
-    )
-    parser.add_argument(
         "--queue-capacity", type=int, default=None,
         help="bounded request queue (default: 64, or the burst size for bench-serve)",
     )
@@ -575,7 +571,6 @@ def _build_engine(args: argparse.Namespace, default_capacity: int = 64):
         }
     config = EngineConfig(
         max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_capacity=args.queue_capacity or default_capacity,
         default_deadline_ms=args.deadline_ms,
         qos=qos,

@@ -15,8 +15,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.metrics.msssim import ms_ssim_and_grad
-from repro.metrics.ssim import DEFAULT_WINDOW_SIZE, ssim_and_grad
+from repro.metrics.msssim import ms_ssim, ms_ssim_and_grad
+from repro.metrics.ssim import DEFAULT_WINDOW_SIZE, ssim, ssim_and_grad
 from repro.nn.backend.policy import as_tensor, result_dtype
 from repro.utils.validation import require_same_shape
 
@@ -219,7 +219,8 @@ class SSIMLoss(Loss):
         pred, target = _as_float_pair(pred, target)
         pred_img = self._to_images(pred, "pred")
         target_img = self._to_images(target, "target")
-        scores, _ = ssim_and_grad(
+        # Scoring needs no gradient; ssim() gives the same scores bitwise.
+        scores = ssim(
             target_img,
             pred_img,
             window_size=self.window_size,
@@ -302,7 +303,7 @@ class MSSSIMLoss(Loss):
         pred, target = _as_float_pair(pred, target)
         pred_img = self._to_images(pred, "pred")
         target_img = self._to_images(target, "target")
-        scores, _ = ms_ssim_and_grad(
+        scores = ms_ssim(
             target_img,
             pred_img,
             scales=self.scales,

@@ -7,8 +7,8 @@ driving systems; this subsystem is the deployment story.  Four pieces:
   pipeline saved as a versioned, hash-validated directory that loads
   identically in a fresh process (``save_bundle`` / ``load_bundle``).
 * **Micro-batching** (:mod:`repro.serving.batcher`) — single-frame
-  requests coalesced into batched VBP + autoencoder passes under a
-  ``max_batch_size`` / ``max_wait_ms`` policy.
+  requests coalesced into batched VBP + autoencoder passes: a free
+  dispatch thread takes what is queued, up to ``max_batch_size``.
 * **Worker pool** (:mod:`repro.serving.pool`) — multiprocess engine
   replicas, each loading the bundle itself, with round-robin dispatch,
   health checks, and restart-on-crash.

@@ -34,7 +34,7 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
 from collections import deque
 
 from repro.exceptions import ConfigurationError, StateRestoreError
-from repro.serving.batcher import QueuedRequest
+from repro.serving.batcher import MicroBatcher, QueuedRequest
 from repro.serving.qos import (
     AimdLimiter,
     ClassPolicy,
@@ -230,6 +230,10 @@ class AdmissionController:
         for *whether* a client is limited; the journal only carries how
         much of its quota it had spent).
         """
+        if not isinstance(state, Mapping):
+            raise StateRestoreError(
+                f"malformed admission state: {type(state).__name__}, not an object"
+            )
         buckets = state.get("buckets", {})
         if not isinstance(buckets, Mapping):
             raise StateRestoreError(
@@ -275,8 +279,8 @@ class WeightedClassBatcher:
     policy:
         The QoS policy supplying class names, weights, and per-class
         queue capacities.
-    max_batch_size / max_wait_ms:
-        Same batching window semantics as ``MicroBatcher``.
+    max_batch_size:
+        Largest batch a single :meth:`next_batch` call returns.
     default_capacity:
         Queue bound for classes whose policy leaves ``queue_capacity``
         unset (the engine passes its ``queue_capacity``).
@@ -286,18 +290,14 @@ class WeightedClassBatcher:
         self,
         policy: QosPolicy,
         max_batch_size: int = 8,
-        max_wait_ms: float = 2.0,
         default_capacity: int = 64,
     ) -> None:
         if max_batch_size < 1:
             raise ConfigurationError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ConfigurationError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if default_capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {default_capacity}")
         self.policy = policy
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
         self._queues: Dict[str, Deque[QueuedRequest]] = {
             name: deque() for name in policy.classes
         }
@@ -312,6 +312,7 @@ class WeightedClassBatcher:
         self._credit: Dict[str, float] = {name: 0.0 for name in policy.classes}
         self._cond = threading.Condition()
         self._closed = False
+        self._bursts = 0  # open burst() blocks; consumers wait them out
 
     @property
     def capacity(self) -> int:
@@ -355,11 +356,10 @@ class WeightedClassBatcher:
             self._cond.notify()
             return True
 
-    def _pick(self) -> Optional[QueuedRequest]:
-        """Pop the smooth-WRR winner among non-empty classes (lock held)."""
+    def _pick(self) -> QueuedRequest:
+        """Pop the smooth-WRR winner among non-empty classes (lock held;
+        at least one class must be non-empty)."""
         backlogged = [name for name, q in self._queues.items() if q]
-        if not backlogged:
-            return None
         total = sum(self._weights[name] for name in backlogged)
         winner = None
         for name in backlogged:
@@ -369,29 +369,22 @@ class WeightedClassBatcher:
         self._credit[winner] -= total
         return self._queues[winner].popleft()
 
+    #: Queue a burst whole; the same ``_cond`` / ``_bursts`` protocol.
+    burst = MicroBatcher.burst
+
     def next_batch(self) -> Optional[List[QueuedRequest]]:
-        """Block until a micro-batch is ready; ``None`` once closed and
-        drained.  Same window semantics as ``MicroBatcher.next_batch``,
-        but each slot is filled by the weighted round-robin winner."""
+        """Block while every class queue is empty (or a burst is being
+        queued), then return what is queued (up to ``max_batch_size``);
+        ``None`` once closed and drained.  Same rule as
+        ``MicroBatcher.next_batch``, but each slot goes to the weighted
+        round-robin winner."""
         with self._cond:
-            while not any(self._queues.values()):
+            while self._bursts or not any(self._queues.values()):
                 if self._closed:
                     return None
                 self._cond.wait()
-            first = self._pick()
-            assert first is not None
-            batch = [first]
-            window_ends = time.monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch_size:
-                request = self._pick()
-                if request is not None:
-                    batch.append(request)
-                    continue
-                remaining = window_ends - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._cond.wait(remaining)
-            return batch
+            size = min(sum(len(q) for q in self._queues.values()), self.max_batch_size)
+            return [self._pick() for _ in range(size)]
 
     def close(self) -> List[QueuedRequest]:
         """Refuse further admissions, wake consumers, return leftovers

@@ -4,21 +4,22 @@ Single-frame requests arrive one at a time (a camera feed, socket
 clients); batched numpy matmuls are where the throughput is.  The
 :class:`MicroBatcher` bridges the two: producers :meth:`~MicroBatcher.offer`
 individual requests into a bounded FIFO, consumers (the engine's dispatch
-threads) pull *micro-batches* assembled under a ``max_batch_size`` /
-``max_wait_ms`` policy — a batch closes as soon as it is full, or when
-``max_wait_ms`` has elapsed since its first frame was dequeued, whichever
-comes first.  A full queue rejects at admission (the caller turns that
-into a typed :class:`~repro.serving.results.Overloaded` outcome) instead
-of queueing unboundedly.
+threads) pull *micro-batches*: a free consumer takes whatever is queued,
+up to ``max_batch_size``, and never holds a batch open for frames that
+have not arrived.  Requests that arrive while a batch is being scored form
+the next one, so batches grow with load and need no timer.  A full queue
+rejects at admission (the caller turns that into a typed
+:class:`~repro.serving.results.Overloaded` outcome) instead of queueing
+unboundedly.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, Iterator, List, Optional
 
 import numpy as np
 
@@ -59,9 +60,6 @@ class MicroBatcher:
     ----------
     max_batch_size:
         Largest batch a single :meth:`next_batch` call returns.
-    max_wait_ms:
-        How long an open batch waits for more frames before closing
-        under-full.  ``0`` means "whatever is queued right now".
     capacity:
         Admission bound: :meth:`offer` refuses once this many requests
         are queued (explicit backpressure).
@@ -70,21 +68,18 @@ class MicroBatcher:
     def __init__(
         self,
         max_batch_size: int = 8,
-        max_wait_ms: float = 2.0,
         capacity: int = 64,
     ) -> None:
         if max_batch_size < 1:
             raise ConfigurationError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ConfigurationError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1000.0
         self.capacity = int(capacity)
         self._queue: Deque[QueuedRequest] = deque()
         self._cond = threading.Condition()
         self._closed = False
+        self._bursts = 0  # open burst() blocks; consumers wait them out
 
     def __len__(self) -> int:
         """Current queue depth."""
@@ -105,28 +100,35 @@ class MicroBatcher:
             self._cond.notify()
             return True
 
-    def next_batch(self) -> Optional[List[QueuedRequest]]:
-        """Block until a micro-batch is ready; ``None`` once closed and drained.
+    @contextmanager
+    def burst(self) -> Iterator[None]:
+        """Queue a burst whole: consumers take nothing while the block
+        runs, so the burst splits into the same batches on every call, not
+        into whatever a consumer found queued when it woke."""
+        with self._cond:
+            self._bursts += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._bursts -= 1
+                self._cond.notify_all()
 
-        Safe for multiple consumer threads: each call assembles its batch
-        under the queue lock, releasing it while waiting for stragglers.
+    def next_batch(self) -> Optional[List[QueuedRequest]]:
+        """Block while the queue is empty (or a :meth:`burst` is being
+        queued), then return what is queued (up to ``max_batch_size``);
+        ``None`` once closed and drained.
+
+        Safe for multiple consumer threads: each call takes its batch
+        under the queue lock.
         """
         with self._cond:
-            while not self._queue:
+            while self._bursts or not self._queue:
                 if self._closed:
                     return None
                 self._cond.wait()
-            batch = [self._queue.popleft()]
-            window_ends = time.monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch_size:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    continue
-                remaining = window_ends - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._cond.wait(remaining)
-            return batch
+            size = min(len(self._queue), self.max_batch_size)
+            return [self._queue.popleft() for _ in range(size)]
 
     def close(self) -> List[QueuedRequest]:
         """Refuse further admissions, wake consumers, return the leftovers.

@@ -127,10 +127,9 @@ class EngineConfig:
     Attributes
     ----------
     max_batch_size:
-        Upper bound on frames per batched VBP + autoencoder pass.
-    max_wait_ms:
-        How long an under-full batch waits for more frames (the
-        latency/throughput trade: 0 favors latency, larger favors batches).
+        Upper bound on frames per batched VBP + autoencoder pass.  A free
+        dispatch thread takes whatever is queued up to this bound and never
+        waits for more, so batches grow only with load.
     queue_capacity:
         Bounded request queue; submissions beyond it are rejected with a
         typed ``Overloaded`` outcome rather than queued.
@@ -162,7 +161,6 @@ class EngineConfig:
     """
 
     max_batch_size: int = 8
-    max_wait_ms: float = 2.0
     queue_capacity: int = 64
     default_deadline_ms: Optional[float] = None
     retry: Optional[RetryPolicy] = None
@@ -175,8 +173,6 @@ class EngineConfig:
             raise ConfigurationError(
                 "max_batch_size and queue_capacity must be >= 1"
             )
-        if self.max_wait_ms < 0:
-            raise ConfigurationError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ConfigurationError(
                 f"default_deadline_ms must be positive, got {self.default_deadline_ms}"
@@ -276,7 +272,7 @@ class ServingEngine:
         thread per ``replicas``, frames checked against its ``image_shape``
         and ``dtype``, closed by :meth:`close`.
     config:
-        Batching/admission policy (defaults: batch 8, wait 2 ms, queue 64)
+        Batching/admission policy (defaults: batch 8, queue 64)
         plus the reliability knobs (``retry``/``breaker``/``fail_safe``).
     breaker:
         A pre-built :class:`~repro.reliability.CircuitBreaker` to use
@@ -318,7 +314,6 @@ class ServingEngine:
             self._batcher: Any = WeightedClassBatcher(
                 self.config.qos,
                 max_batch_size=self.config.max_batch_size,
-                max_wait_ms=self.config.max_wait_ms,
                 default_capacity=self.config.queue_capacity,
             )
             self.admission: Optional[AdmissionController] = AdmissionController(
@@ -327,7 +322,6 @@ class ServingEngine:
         else:
             self._batcher = MicroBatcher(
                 max_batch_size=self.config.max_batch_size,
-                max_wait_ms=self.config.max_wait_ms,
                 capacity=self.config.queue_capacity,
             )
             self.admission = None
@@ -476,10 +470,14 @@ class ServingEngine:
     def infer_many(self, frames: np.ndarray, timeout_s: float = 120.0) -> List[RequestOutcome]:
         """Submit a stack of frames and wait for every outcome.
 
+        The stack is queued whole before any of it is scored, so it splits
+        into the same batches on every call: a frame scored alone can
+        differ in its last bits from the same frame scored in a batch.
         Frames beyond ``queue_capacity`` naturally resolve to
         ``Overloaded`` — size the engine's queue for the burst you send.
         """
-        pendings = [self.submit(frame) for frame in as_tensor(frames, self.scorer.dtype)]
+        with self._batcher.burst():
+            pendings = [self.submit(frame) for frame in as_tensor(frames, self.scorer.dtype)]
         return [p.result(timeout_s) for p in pendings]
 
     # -- reliability -----------------------------------------------------

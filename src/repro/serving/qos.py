@@ -33,6 +33,8 @@ offending key, which the CLI turns into an exit-2.  See
 from __future__ import annotations
 
 import json
+import math
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -216,8 +218,8 @@ class QosPolicy:
             f"shed_safety_factor must be > 0, got {self.shed_safety_factor}",
         )
         _require(
-            self.estimator_window >= 1,
-            f"estimator_window must be >= 1, got {self.estimator_window}",
+            1 <= self.estimator_window <= sys.maxsize,
+            f"estimator_window must be in [1, {sys.maxsize}], got {self.estimator_window}",
         )
 
     @classmethod
@@ -330,7 +332,12 @@ def _as_number(key: str, value: Any) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{key} must be a number, got {value!r}",
     )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for any float
+        number = math.inf
+    _require(math.isfinite(number), f"{key} must be finite, got {value!r}")
+    return number
 
 
 def _class_policy_from_dict(name: str, spec: Any) -> ClassPolicy:
@@ -393,11 +400,11 @@ def load_qos_policy(path) -> QosPolicy:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read QoS policy {path}: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"QoS policy {path} is not valid JSON: {exc}") from exc
     return QosPolicy.from_dict(payload)
 
@@ -456,7 +463,7 @@ class TokenBucket:
         """Restore a journaled token count, clamped into ``[0, burst]``."""
         try:
             tokens = float(state["tokens"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StateRestoreError(f"malformed token-bucket state: {state!r}") from exc
         self._tokens = min(float(self.limit.burst), max(0.0, tokens))
         self._refilled_at = self._clock()
@@ -508,12 +515,15 @@ class AimdLimiter:
         """Restore a journaled limit, clamped into the configured bounds."""
         try:
             limit = float(state["limit"])
-        except (KeyError, TypeError, ValueError) as exc:
+            decreases = state.get("decreases", 0)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StateRestoreError(f"malformed AIMD state: {state!r}") from exc
+        if isinstance(decreases, bool) or not isinstance(decreases, int) or decreases < 0:
+            raise StateRestoreError(f"malformed AIMD decreases: {decreases!r}")
         self._limit = min(
             float(self.config.max_limit), max(float(self.config.min_limit), limit)
         )
-        self._decreases = int(state.get("decreases", 0))
+        self._decreases = decreases
 
 
 class ServiceTimeEstimator:

@@ -6,17 +6,21 @@ background threads.  Instruments are named with dotted lowercase paths
 telemetry session; :meth:`MetricsRegistry.snapshot` turns the whole
 registry into a plain dict that serializes straight into the JSONL trace.
 
-Histograms keep both fixed-bucket counts (for cheap distribution rendering)
-and the raw observations, so the p50/p95/p99 summaries are exact — computed
+Histograms keep fixed-bucket counts (for cheap distribution rendering) and
+a running count/total/min/max over their whole life, plus the most recent
+:data:`QUANTILE_WINDOW` observations for the p50/p95/p99 summaries — computed
 with the same :func:`repro.utils.timer.percentile` interpolation the
-:class:`~repro.utils.timer.Timer` uses, not bucket-boundary estimates.
+:class:`~repro.utils.timer.Timer` uses, not bucket-boundary estimates, and
+exact until the window first fills.  Memory stays bounded however long a
+session runs.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.utils.timer import percentile
@@ -29,6 +33,9 @@ _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
     base * 10.0**exp for exp in range(-6, 2) for base in (1.0, 2.5, 5.0)
 )
+
+#: Most recent observations a :class:`Histogram` keeps for its percentiles.
+QUANTILE_WINDOW = 1024
 
 
 def _check_name(name: str) -> str:
@@ -74,7 +81,10 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with exact percentile summaries.
+    """Fixed-bucket histogram with running totals and recent percentiles.
+
+    ``bucket_counts``, ``count``, ``total``, ``min`` and ``max`` cover every
+    observation; :meth:`quantile` covers the last :data:`QUANTILE_WINDOW`.
 
     Parameters
     ----------
@@ -85,7 +95,7 @@ class Histogram:
         above the last bound.  Defaults to :data:`DEFAULT_BUCKETS`.
     """
 
-    __slots__ = ("name", "buckets", "bucket_counts", "samples")
+    __slots__ = ("name", "buckets", "bucket_counts", "count", "total", "min", "max", "_recent")
 
     def __init__(self, name: str, buckets: Optional[Sequence[float]] = None) -> None:
         bounds = tuple(float(b) for b in (buckets or DEFAULT_BUCKETS))
@@ -96,12 +106,20 @@ class Histogram:
         self.name = name
         self.buckets = bounds
         self.bucket_counts = [0] * (len(bounds) + 1)  # +1 overflow
-        self.samples: List[float] = []
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self._recent = WindowHistogram(name, maxlen=QUANTILE_WINDOW)
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
-        self.samples.append(value)
+        self.count += 1
+        self.total += value
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
+        self._recent.observe(value)
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 self.bucket_counts[i] += 1
@@ -109,37 +127,28 @@ class Histogram:
         self.bucket_counts[-1] += 1
 
     @property
-    def count(self) -> int:
-        """Number of observations."""
-        return len(self.samples)
-
-    @property
-    def total(self) -> float:
-        """Sum of all observations."""
-        return float(sum(self.samples))
-
-    @property
     def mean(self) -> float:
         """Mean observation (0.0 when empty)."""
-        return self.total / self.count if self.samples else 0.0
+        return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Exact linear-interpolated percentile of the observations.
+        """Linear-interpolated percentile of the recent observations.
 
         ``nan`` when the histogram is empty; the lone value when there is
         exactly one observation.  Never raises on an empty series.
         """
-        return percentile(self.samples, q)
+        return self._recent.quantile(q)
 
     def summary(self) -> Dict[str, float]:
-        """The rollup recorded in snapshots: count/mean/min/max/p50/p95/p99."""
-        if not self.samples:
+        """The rollup recorded in snapshots: lifetime count/mean/min/max,
+        p50/p95/p99 over the recent window."""
+        if not self.count:
             return {"count": 0}
         return {
             "count": self.count,
             "mean": self.mean,
-            "min": min(self.samples),
-            "max": max(self.samples),
+            "min": self.min,
+            "max": self.max,
             "p50": self.quantile(50.0),
             "p95": self.quantile(95.0),
             "p99": self.quantile(99.0),

@@ -87,7 +87,6 @@ def _chaos_engine(schedule, fail_safe="novel", breaker=None, **config_kwargs):
     injector = FaultInjector(_StubScorer(), schedule, sleep=lambda s: None)
     config = EngineConfig(
         max_batch_size=4,
-        max_wait_ms=0.5,
         queue_capacity=256,
         retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0),
         breaker=BreakerConfig(
@@ -197,7 +196,6 @@ class TestMixedPriorityStorm:
         )
         config = EngineConfig(
             max_batch_size=4,
-            max_wait_ms=0.5,
             queue_capacity=64,
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0),
             fail_safe="novel",
@@ -340,7 +338,7 @@ class TestPoolChaos:
             pool, FaultSchedule([None, "kill_worker", None, "kill_worker"])
         )
         config = EngineConfig(
-            max_batch_size=2, max_wait_ms=0.5, queue_capacity=64,
+            max_batch_size=2, queue_capacity=64,
             retry=RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0),
             fail_safe="novel",
         )

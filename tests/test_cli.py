@@ -134,8 +134,13 @@ class TestServingParser:
         assert args.bundle is None
         assert args.workers == 0
         assert args.max_batch == 8
-        assert args.max_wait_ms == 2.0
         assert not args.once
+
+    @pytest.mark.parametrize("command", ["serve", "bench-serve"])
+    def test_batch_window_flag_is_gone(self, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--max-wait-ms", "2"])
+        assert exc.value.code == 2
 
     def test_bench_serve_defaults(self):
         args = build_parser().parse_args(["bench-serve"])
@@ -198,6 +203,16 @@ class TestServeCommand:
         ])
         assert exit_code == 2
         assert "journal" in capsys.readouterr().err
+
+    def test_non_finite_qos_policy_exits_2(self, tmp_path, capsys):
+        policy = tmp_path / "qos.json"
+        policy.write_text('{"estimator_window": NaN}')
+        exit_code = main([
+            "serve", "--once", "--frames", "2", "--scale", "ci",
+            "--qos-config", str(policy), "--no-telemetry",
+        ])
+        assert exit_code == 2
+        assert "estimator_window must be finite" in capsys.readouterr().err
 
     def test_serve_once_with_journal_recovers_on_second_boot(
         self, tmp_path, capsys

@@ -36,7 +36,7 @@ def registry(fitted_pipeline, bundle_dir, tmp_path):
 def _engine(registry, **config_kwargs):
     bundle = registry.load("v0001")
     scorer = PipelineScorer(bundle.pipeline, model_version="v0001")
-    defaults = dict(max_batch_size=4, max_wait_ms=1.0, queue_capacity=512)
+    defaults = dict(max_batch_size=4, queue_capacity=512)
     defaults.update(config_kwargs)
     return ServingEngine(scorer, EngineConfig(**defaults))
 

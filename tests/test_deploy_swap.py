@@ -78,7 +78,7 @@ class TestEngineReload:
         """Every admitted request resolves Scored while the model swaps."""
         engine = ServingEngine(
             PipelineScorer(fitted_pipeline, model_version="v1"),
-            EngineConfig(max_batch_size=4, max_wait_ms=1.0, queue_capacity=256),
+            EngineConfig(max_batch_size=4, queue_capacity=256),
         )
         bundle = load_bundle(bundle_dir)
 

@@ -160,7 +160,7 @@ def universe(tmp_path_factory):
 def doc_namespace(universe):
     """A fresh per-file namespace; engines are closed at teardown."""
     config = EngineConfig(
-        max_batch_size=4, max_wait_ms=1.0, queue_capacity=64,
+        max_batch_size=4, queue_capacity=64,
         breaker=BreakerConfig(),
     )
     scorer = PipelineScorer(universe["pipeline"])

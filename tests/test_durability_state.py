@@ -317,7 +317,7 @@ class TestCanaryState:
         bundle = registry.load("v0001")
         engine = ServingEngine(
             PipelineScorer(bundle.pipeline, model_version="v0001"),
-            EngineConfig(max_batch_size=4, max_wait_ms=1.0, queue_capacity=64),
+            EngineConfig(max_batch_size=4, queue_capacity=64),
         )
         try:
             journaled = []

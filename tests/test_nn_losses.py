@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.metrics.ssim import ssim
-from repro.nn import HuberLoss, MAELoss, MSELoss, SSIMLoss, check_loss_gradients
+from repro.metrics.msssim import ms_ssim_and_grad
+from repro.metrics.ssim import ssim, ssim_and_grad
+from repro.nn import (
+    HuberLoss,
+    MAELoss,
+    MSELoss,
+    MSSSIMLoss,
+    SSIMLoss,
+    check_loss_gradients,
+)
 
 
 class TestMSELoss:
@@ -145,3 +153,32 @@ class TestSSIMLoss:
         for _ in range(5):
             value = self._loss().forward(rng.random((1, h * w)), rng.random((1, h * w)))
             assert 0.0 <= value <= 2.0
+
+
+class TestScoringSkipsTheGradient:
+    """``per_sample`` scores without the gradient; the scores must match
+    the gradient path's bitwise, or every serving verdict would drift."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "loss, with_grad",
+        [
+            (SSIMLoss((24, 64)), ssim_and_grad),
+            (SSIMLoss((60, 160)), ssim_and_grad),
+            (MSSSIMLoss((24, 64), scales=3, window_size=5), ms_ssim_and_grad),
+            (MSSSIMLoss((60, 160)), ms_ssim_and_grad),
+        ],
+        ids=["ssim-24x64", "ssim-60x160", "msssim-24x64", "msssim-60x160"],
+    )
+    def test_per_sample_matches_gradient_path(self, rng, loss, with_grad, batch, dtype):
+        h, w = loss.image_shape
+        target = rng.random((batch, h, w)).astype(dtype)
+        pred = np.clip(target + rng.normal(0, 0.1, target.shape), 0, 1).astype(dtype)
+        kwargs = {"window_size": loss.window_size, "window": loss.window}
+        if isinstance(loss, MSSSIMLoss):
+            kwargs["scales"] = loss.scales
+        scores, _ = with_grad(target, pred, **kwargs)
+        per = loss.per_sample(pred, target)
+        assert per.dtype == dtype
+        np.testing.assert_array_equal(per, 1.0 - np.atleast_1d(scores))

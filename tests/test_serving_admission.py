@@ -226,7 +226,7 @@ class TestWeightedClassBatcher:
                 "batch": ClassPolicy(weight=1),
             },
         )
-        batcher = WeightedClassBatcher(policy, max_batch_size=8, max_wait_ms=0.0)
+        batcher = WeightedClassBatcher(policy, max_batch_size=8)
         for _ in range(12):
             assert batcher.offer(_request("interactive"))
             assert batcher.offer(_request("batch"))
@@ -241,7 +241,7 @@ class TestWeightedClassBatcher:
         batcher.close()
 
     def test_fifo_order_within_class(self):
-        batcher = WeightedClassBatcher(_policy(), max_batch_size=4, max_wait_ms=0.0)
+        batcher = WeightedClassBatcher(_policy(), max_batch_size=4)
         requests = [_request("batch", client_id=str(i)) for i in range(4)]
         for request in requests:
             assert batcher.offer(request)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.serving import MicroBatcher, PendingResult, QueuedRequest
+from repro.serving import (
+    MicroBatcher,
+    PendingResult,
+    QosPolicy,
+    QueuedRequest,
+    WeightedClassBatcher,
+)
 
 
 def _request(tag: int) -> QueuedRequest:
@@ -42,7 +48,7 @@ class TestAdmission:
 
 class TestBatchAssembly:
     def test_coalesces_queued_requests(self):
-        batcher = MicroBatcher(max_batch_size=8, max_wait_ms=0.0)
+        batcher = MicroBatcher(max_batch_size=8)
         for i in range(5):
             batcher.offer(_request(i))
         batch = batcher.next_batch()
@@ -50,7 +56,7 @@ class TestBatchAssembly:
         assert len(batcher) == 0
 
     def test_full_batch_closes_at_cap(self):
-        batcher = MicroBatcher(max_batch_size=3, max_wait_ms=0.0)
+        batcher = MicroBatcher(max_batch_size=3)
         for i in range(7):
             batcher.offer(_request(i))
         assert len(batcher.next_batch()) == 3
@@ -58,37 +64,57 @@ class TestBatchAssembly:
         assert len(batcher.next_batch()) == 1
 
     def test_fifo_order(self):
-        batcher = MicroBatcher(max_batch_size=4, max_wait_ms=0.0)
+        batcher = MicroBatcher(max_batch_size=4)
         for i in range(4):
             batcher.offer(_request(i))
         batch = batcher.next_batch()
         assert [int(r.frame[0, 0]) for r in batch] == [0, 1, 2, 3]
 
-    def test_underfull_batch_closes_after_wait(self):
-        batcher = MicroBatcher(max_batch_size=8, max_wait_ms=30.0)
-        batcher.offer(_request(0))
-        started = time.monotonic()
-        batch = batcher.next_batch()
-        elapsed = time.monotonic() - started
-        assert len(batch) == 1
-        # Waited roughly the window, not forever (generous upper bound on a
-        # busy CI box).
-        assert elapsed < 5.0
 
-    def test_straggler_joins_open_batch(self):
-        batcher = MicroBatcher(max_batch_size=2, max_wait_ms=2000.0)
-        batcher.offer(_request(0))
-        got = {}
+#: Both batcher classes, built with their defaults (the class batcher
+#: serves the stock policy, which routes ``_request``'s class).
+BATCHERS = {
+    "fifo": lambda: MicroBatcher(),
+    "weighted": lambda: WeightedClassBatcher(QosPolicy.default()),
+}
+
+
+@pytest.mark.parametrize("make", list(BATCHERS.values()), ids=list(BATCHERS))
+class TestNoFillWindow:
+    def test_blocked_consumer_takes_first_offer_alone(self, make):
+        batcher = make()
+        batches = []
 
         def _consume():
-            got["batch"] = batcher.next_batch()
+            batches.append(batcher.next_batch())
+            batches.append(batcher.next_batch())
 
         consumer = threading.Thread(target=_consume, daemon=True)
         consumer.start()
-        time.sleep(0.05)  # consumer now holds an open, under-full batch
+        time.sleep(0.05)  # consumer is blocked on the empty queue
+        batcher.offer(_request(0))
+        time.sleep(0.05)
         batcher.offer(_request(1))
         consumer.join(timeout=10.0)
-        assert len(got["batch"]) == 2  # straggler arrived inside the window
+        assert [[int(r.frame[0, 0]) for r in b] for b in batches] == [[0], [1]]
+        batcher.close()
+
+    def test_burst_is_queued_whole(self, make):
+        batcher = make()
+        batches = []
+        consumer = threading.Thread(
+            target=lambda: batches.append(batcher.next_batch()), daemon=True
+        )
+        consumer.start()
+        time.sleep(0.05)  # consumer is blocked on the empty queue
+        with batcher.burst():
+            for i in range(3):
+                batcher.offer(_request(i))
+                time.sleep(0.02)  # time enough for a free consumer to take it
+            assert batches == []
+        consumer.join(timeout=10.0)
+        assert [[int(r.frame[0, 0]) for r in b] for b in batches] == [[0, 1, 2]]
+        batcher.close()
 
 
 class TestClose:
@@ -125,7 +151,6 @@ class TestValidation:
         "kwargs",
         [
             {"max_batch_size": 0},
-            {"max_wait_ms": -1.0},
             {"capacity": 0},
         ],
     )

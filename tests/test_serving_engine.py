@@ -68,7 +68,7 @@ def _frame(value: float = 0.5) -> np.ndarray:
 def pipeline_engine(fitted_pipeline):
     engine = ServingEngine(
         PipelineScorer(fitted_pipeline),
-        EngineConfig(max_batch_size=8, max_wait_ms=2.0, queue_capacity=64),
+        EngineConfig(max_batch_size=8, queue_capacity=64),
     )
     yield engine
     engine.close()
@@ -118,7 +118,7 @@ class TestBackpressure:
     def test_overload_resolves_typed_rejection(self):
         scorer = _BlockingScorer()
         engine = ServingEngine(
-            scorer, EngineConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=2)
+            scorer, EngineConfig(max_batch_size=1, queue_capacity=2)
         )
         try:
             first = engine.submit(_frame())  # dequeued, parked in the scorer
@@ -146,7 +146,7 @@ class TestBackpressure:
     def test_queue_never_exceeds_capacity(self):
         scorer = _BlockingScorer()
         engine = ServingEngine(
-            scorer, EngineConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=4)
+            scorer, EngineConfig(max_batch_size=1, queue_capacity=4)
         )
         try:
             pendings = [engine.submit(_frame()) for _ in range(20)]
@@ -159,11 +159,47 @@ class TestBackpressure:
             engine.close()
 
 
+class TestBatching:
+    def test_frames_queued_during_a_batch_form_the_next(self):
+        """Coalescing under load needs no timer: a free dispatch thread
+        takes the lone frame at once, and what queues behind it while it
+        is scored becomes the next batch."""
+        scorer = _BlockingScorer()
+        engine = ServingEngine(scorer, EngineConfig(max_batch_size=8))
+        try:
+            first = engine.submit(_frame())
+            assert scorer.entered.wait(10.0)
+            rest = [engine.submit(_frame()) for _ in range(5)]
+            scorer.release.set()
+            for pending in [first, *rest]:
+                assert isinstance(pending.result(10.0), Scored)
+            assert scorer.batches == [1, 5]
+        finally:
+            scorer.release.set()
+            engine.close()
+
+    def test_a_burst_splits_into_the_same_batches_every_time(self):
+        """However often the dispatch thread gets the interpreter while
+        ``infer_many`` queues, it takes nothing until the burst is in."""
+        scorer = _BlockingScorer()
+        scorer.release.set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            with ServingEngine(scorer, EngineConfig(max_batch_size=8)) as engine:
+                for _ in range(5):
+                    outcomes = engine.infer_many(np.stack([_frame()] * 20))
+                    assert all(isinstance(o, Scored) for o in outcomes)
+        finally:
+            sys.setswitchinterval(interval)
+        assert scorer.batches == [8, 8, 4] * 5
+
+
 class TestDeadlines:
     def test_expired_request_dropped_unscored(self):
         scorer = _BlockingScorer()
         engine = ServingEngine(
-            scorer, EngineConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=8)
+            scorer, EngineConfig(max_batch_size=1, queue_capacity=8)
         )
         try:
             blocker = engine.submit(_frame())  # occupies the scorer
@@ -184,7 +220,7 @@ class TestDeadlines:
         engine = ServingEngine(
             scorer,
             EngineConfig(
-                max_batch_size=1, max_wait_ms=0.0, queue_capacity=8,
+                max_batch_size=1, queue_capacity=8,
                 default_deadline_ms=10.0,
             ),
         )
@@ -215,7 +251,7 @@ class TestFailures:
     def test_close_fails_queued_requests(self):
         scorer = _BlockingScorer()
         engine = ServingEngine(
-            scorer, EngineConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=8)
+            scorer, EngineConfig(max_batch_size=1, queue_capacity=8)
         )
         engine.submit(_frame())  # parked in the scorer
         threading.Event().wait(0.1)
@@ -265,7 +301,6 @@ class TestEngineConfig:
         [
             {"max_batch_size": 0},
             {"queue_capacity": 0},
-            {"max_wait_ms": -0.1},
             {"default_deadline_ms": 0.0},
             {"fail_safe": "explode"},
         ],
@@ -424,7 +459,7 @@ def _rate_limited(ctx):
 
 def _overloaded(ctx):
     scorer = _BlockingScorer()
-    config = EngineConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=1)
+    config = EngineConfig(max_batch_size=1, queue_capacity=1)
     engine = ServingEngine(scorer, config)
     try:
         engine.submit(_frame())
@@ -438,7 +473,7 @@ def _overloaded(ctx):
 
 def _deadline_exceeded(ctx):
     scorer = _BlockingScorer()
-    engine = ServingEngine(scorer, EngineConfig(max_batch_size=1, max_wait_ms=0.0))
+    engine = ServingEngine(scorer, EngineConfig(max_batch_size=1))
     try:
         engine.submit(_frame())
         assert scorer.entered.wait(10.0)
@@ -470,7 +505,7 @@ def _degraded(ctx):
 def _closed(ctx):
     """A request still queued when the engine closes."""
     scorer = _BlockingScorer()
-    engine = ServingEngine(scorer, EngineConfig(max_batch_size=1, max_wait_ms=0.0))
+    engine = ServingEngine(scorer, EngineConfig(max_batch_size=1))
     engine.submit(_frame())
     assert scorer.entered.wait(10.0)
     pending = engine.submit(_frame(), trace=ctx)
@@ -539,7 +574,7 @@ class TestOneExit:
         keys = ("scored", "rejected", "rejected_admission", "deadline_exceeded",
                 "failed", "degraded")
         config = EngineConfig(
-            max_batch_size=4, max_wait_ms=0.5, queue_capacity=6,
+            max_batch_size=4, queue_capacity=6,
             qos=QosPolicy(shed_deadlines=False, aimd=None),
         )
         engine = ServingEngine(Poisonable(), config)

@@ -3,9 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, StateRestoreError
 from repro.serving import (
+    AdmissionController,
     AimdConfig,
     AimdLimiter,
     ClassPolicy,
@@ -13,6 +16,7 @@ from repro.serving import (
     RateLimit,
     ServiceTimeEstimator,
     TokenBucket,
+    WeightedClassBatcher,
     load_qos_policy,
     parse_priority_mix,
 )
@@ -287,3 +291,94 @@ class TestParsePriorityMix:
     def test_rejects_empty_spec(self):
         with pytest.raises(ConfigurationError):
             parse_priority_mix("")
+
+
+#: Any JSON value, including the NaN / Infinity floats Python's parser
+#: accepts and integers too large for a float.
+_NUMBER = st.floats() | st.integers() | st.integers(min_value=10**308, max_value=10**400)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | _NUMBER,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=12,
+)
+
+
+def _shaped(*keys, value=_NUMBER | JSON):
+    """An object with some of ``keys`` (so parsing gets past its
+    unknown-key check), or any JSON value at all."""
+    return st.fixed_dictionaries({}, optional={k: value for k in keys}) | JSON
+
+
+_RATE = _shaped("rate_per_s", "burst")
+POLICY_JSON = _shaped(
+    "classes", "default_class", "rate_limit", "client_rate_limits",
+    "shed_deadlines", "shed_safety_factor", "aimd", "estimator_window",
+) | st.fixed_dictionaries({}, optional={
+    "classes": _shaped(
+        "critical", "interactive", "batch",
+        value=_shaped("weight", "queue_capacity", "default_deadline_ms", "sheddable"),
+    ),
+    "default_class": st.sampled_from(["critical", "interactive", "batch"]),
+    "rate_limit": _RATE,
+    "client_rate_limits": st.dictionaries(st.text(max_size=3), _RATE, max_size=2),
+    "shed_safety_factor": _NUMBER,
+    "aimd": _shaped("initial", "min_limit", "max_limit", "increase", "decrease", "cooldown_s"),
+    "estimator_window": _NUMBER,
+})
+ADMISSION_STATE_JSON = _shaped(
+    "buckets", "aimd",
+    value=st.dictionaries(st.text(max_size=3), _shaped("tokens"), max_size=2)
+    | _shaped("limit", "decreases"),
+)
+
+
+class TestMalformedInput:
+    """Whatever JSON arrives, parsing and restoring refuse it with one
+    typed error, never a stray ``ValueError`` or ``OverflowError``."""
+
+    @given(POLICY_JSON)
+    @settings(max_examples=400, deadline=None)
+    def test_policy_parsing_raises_only_configuration_error(self, payload):
+        try:
+            policy = QosPolicy.from_dict(payload)
+        except ConfigurationError:
+            return
+        # What parses also builds: the engine constructs these from it.
+        AdmissionController(policy)
+        WeightedClassBatcher(policy)
+
+    @given(ADMISSION_STATE_JSON)
+    @settings(max_examples=400, deadline=None)
+    def test_admission_restore_raises_only_state_restore_error(self, state):
+        controller = AdmissionController(
+            QosPolicy(rate_limit=RateLimit(rate_per_s=10.0, burst=4.0))
+        )
+        try:
+            controller.load_state_dict(state)
+        except StateRestoreError:
+            pass
+
+    @pytest.mark.parametrize("text", [
+        '{"estimator_window": NaN}',
+        '{"estimator_window": Infinity}',
+        '{"rate_limit": {"rate_per_s": Infinity}}',
+        '{"aimd": {"initial": 1' + "0" * 400 + "}}",
+    ])
+    def test_non_finite_numbers_are_configuration_errors(self, tmp_path, text):
+        path = tmp_path / "policy.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="finite"):
+            load_qos_policy(path)
+
+    def test_estimator_window_beyond_a_deque_bound_refused(self):
+        """Parsed, a window of 1e300 used to crash the engine build with an
+        ``OverflowError`` (a ``deque`` cannot be that long)."""
+        with pytest.raises(ConfigurationError, match="estimator_window"):
+            QosPolicy.from_dict({"estimator_window": 1e300})
+
+    @pytest.mark.parametrize("decreases", [float("nan"), float("inf"), 1.5, "3", None, -1])
+    def test_malformed_aimd_decreases_refused(self, decreases):
+        limiter = AimdLimiter(AimdConfig())
+        with pytest.raises(StateRestoreError, match="decreases"):
+            limiter.load_state_dict({"limit": 8.0, "decreases": decreases})

@@ -78,7 +78,7 @@ def served(fitted_pipeline):
     """A running server + connected client over the fitted pipeline."""
     engine = ServingEngine(
         PipelineScorer(fitted_pipeline),
-        EngineConfig(max_batch_size=8, max_wait_ms=1.0, queue_capacity=64),
+        EngineConfig(max_batch_size=8, queue_capacity=64),
     )
     with ServingServer(engine) as server:
         with ServingClient(*server.address) as client:

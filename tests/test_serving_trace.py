@@ -38,7 +38,7 @@ def _spans(sink):
 
 def _engine(pipeline, **overrides):
     config = EngineConfig(
-        max_batch_size=4, max_wait_ms=1.0, queue_capacity=64, **overrides
+        max_batch_size=4, queue_capacity=64, **overrides
     )
     return ServingEngine(PipelineScorer(pipeline), config)
 

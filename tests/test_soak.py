@@ -30,7 +30,7 @@ class _StubScorer(Scorer):
 
 def _engine():
     return ServingEngine(
-        _StubScorer(), EngineConfig(max_batch_size=8, max_wait_ms=0.0, queue_capacity=64)
+        _StubScorer(), EngineConfig(max_batch_size=8, queue_capacity=64)
     )
 
 
@@ -41,10 +41,9 @@ def _serve(engine, requests, burst=16):
         assert all(o.status == "ok" for o in outcomes)
 
 
-def test_untraced_engine_memory_is_flat_after_warm_up():
-    """20k requests, telemetry off: after a 2k warm-up, traced memory grows
-    by less than 64 kB (a list of every latency alone would be ~0.6 MB)."""
-    engine = _engine()
+def _growth_after_warm_up(engine):
+    """Bytes of traced memory gained serving 18k requests after a 2k
+    warm-up."""
     tracemalloc.start()
     try:
         _serve(engine, 2_000)
@@ -53,12 +52,37 @@ def test_untraced_engine_memory_is_flat_after_warm_up():
         _serve(engine, 18_000)
         gc.collect()
         after, _ = tracemalloc.get_traced_memory()
-        stats = engine.stats()
     finally:
         tracemalloc.stop()
+    return after - before
+
+
+def test_untraced_engine_memory_is_flat_after_warm_up():
+    """20k requests, telemetry off: after a 2k warm-up, traced memory grows
+    by less than 64 kB (a list of every latency alone would be ~0.6 MB)."""
+    engine = _engine()
+    try:
+        grown = _growth_after_warm_up(engine)
+        stats = engine.stats()
+    finally:
         engine.close()
     assert stats["scored"] == stats["latency_ms"]["count"] == 20_000
-    assert after - before < 64 * 1024, f"grew by {after - before} bytes"
+    assert grown < 64 * 1024, f"grew by {grown} bytes"
+
+
+def test_telemetry_memory_is_flat_after_warm_up():
+    """20k requests, telemetry on: every span feeds a duration histogram,
+    and after a 2k warm-up traced memory still grows by less than 64 kB
+    (histograms that kept each observation would grow by megabytes)."""
+    with telemetry_session() as telem:
+        engine = _engine()
+        try:
+            grown = _growth_after_warm_up(engine)
+        finally:
+            engine.close()
+        requests = telem.histogram("span.serving.request").count
+    assert requests == 20_000
+    assert grown < 64 * 1024, f"grew by {grown} bytes"
 
 
 def test_no_span_record_outlives_its_emission(tmp_path):

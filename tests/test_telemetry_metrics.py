@@ -13,6 +13,7 @@ from repro.telemetry import (
     render_snapshot,
     telemetry_session,
 )
+from repro.telemetry.metrics import QUANTILE_WINDOW
 
 
 @pytest.fixture(autouse=True)
@@ -70,6 +71,21 @@ class TestHistogram:
         assert s["min"] == 1.0
         assert s["max"] == 3.0
         assert s["p50"] == pytest.approx(2.0)
+
+    def test_lifetime_totals_and_recent_percentiles(self):
+        h = MetricsRegistry().histogram("lat")
+        values = [float(v) for v in range(3 * QUANTILE_WINDOW)]
+        for v in values:
+            h.observe(v)
+        s = h.summary()
+        # count/mean/min/max and the buckets cover every observation...
+        assert s["count"] == sum(h.bucket_counts) == len(values)
+        assert s["mean"] == pytest.approx(np.mean(values))
+        assert (s["min"], s["max"]) == (values[0], values[-1])
+        # ...percentiles only the most recent window.
+        recent = values[-QUANTILE_WINDOW:]
+        assert s["p50"] == pytest.approx(np.percentile(recent, 50))
+        assert s["p99"] == pytest.approx(np.percentile(recent, 99))
 
     def test_empty_summary_is_just_count(self):
         assert MetricsRegistry().histogram("score").summary() == {"count": 0}
